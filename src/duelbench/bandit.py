@@ -19,14 +19,14 @@ for the guard scan and O(1) for the feasibility test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, log, sqrt
+from math import inf, isfinite, log, sqrt
 
 import numpy as np
 
 from .constraints import FEASIBILITY_TOL, min_lhs_cw, min_lhs_ecw
-from .core import gap_divergence
-from .errors import InternalInconsistencyError, TooLargeError, ValidationError
-from .solvers import _cw_lp, _ecw_plan, default_k_max
+from .core import _copeland_sets, gap_divergence
+from .errors import InternalInconsistencyError, ValidationError
+from .solvers import _best_plan, _cw_lp, _ecw_plan, check_lp_size
 
 DEFAULT_ALPHA = 3.0
 DEFAULT_BETA = 0.01
@@ -41,24 +41,21 @@ class AlgorithmConfig:
     variant: str = "ecw"
     alpha: float = DEFAULT_ALPHA
     beta: float = DEFAULT_BETA
-    seed: int = 0
     k_max: int | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValidationError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if not self.alpha > 0:
-            raise ValidationError(f"alpha must be positive, got {self.alpha!r}")
-        if self.beta < 0:
-            raise ValidationError(f"beta must be nonnegative, got {self.beta!r}")
+        if not (self.alpha > 0 and isfinite(self.alpha)):
+            raise ValidationError(f"alpha must be positive and finite, got {self.alpha!r}")
+        if not (self.beta >= 0 and isfinite(self.beta)):
+            raise ValidationError(f"beta must be nonnegative and finite, got {self.beta!r}")
 
 
 def check_size(config: AlgorithmConfig, k: int) -> None:
     """The cw variant needs the exact LP every planning event, so it is size-gated."""
     if config.variant == "cw":
-        gate = default_k_max() if config.k_max is None else config.k_max
-        if k > gate:
-            raise TooLargeError(f"cw variant gated at K_max={gate}, got K={k}")
+        check_lp_size(k, config.k_max)
 
 
 class RmedState:
@@ -109,14 +106,10 @@ class RmedState:
 
     def _refresh(self):
         vals = np.array(self.muhat)
-        beats_me = vals < 0.5
-        i_beat = vals > 0.5
-        k = self.k
-        sup = [np.flatnonzero(beats_me[i]).tolist() for i in range(k)]
-        inf_sets = [np.flatnonzero(i_beat[i]).tolist() for i in range(k)]
-        losses = [len(s) for s in sup]
+        # estimates can sit exactly at 1/2; such pairs count in neither set
+        sup, inf_sets, losses = _copeland_sets(vals, tie_tolerant=True)
         low = min(losses)
-        winners = [i for i in range(k) if losses[i] == low]
+        winners = [i for i in range(self.k) if losses[i] == low]
         div = gap_divergence(vals)
         self._div = div.tolist()
         self._weights = (np.array(self.counts, dtype=float) * div).tolist()
@@ -174,16 +167,9 @@ def random_baseline_select(rng: np.random.Generator, k: int):
 
 def _compute_plan(state: RmedState, config: AlgorithmConfig):
     """argmin-winner plan on the empirical matrix: (ihat0, rate matrix)."""
-    sup, inf_sets, losses, winners = state._sets
-    best_i, best_c, best_q = -1, inf, None
-    for i1 in winners:
-        if config.variant == "cw":
-            q, constant = _cw_lp(state._div, sup, inf_sets, losses, i1)
-        else:
-            q, constant = _ecw_plan(state._div, sup, inf_sets, losses, i1)
-        if constant < best_c:
-            best_i, best_c, best_q = i1, constant, q
-    return best_i, best_q
+    planner = _cw_lp if config.variant == "cw" else _ecw_plan
+    ihat, q, _ = _best_plan(planner, state._div, state._sets)
+    return ihat, q
 
 
 def _plan_step(state: RmedState, config: AlgorithmConfig, pair):

@@ -8,7 +8,6 @@ precision.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -45,17 +44,13 @@ def cmd_bounds(args) -> int:
     matrix, label = _load(args)
     summary = core.copeland_summary(matrix)
     winners = sorted(summary.winners)
-    gate = args.k_max if args.k_max is not None else solvers.default_k_max()
+    gate = solvers.lp_gate(args.k_max)
 
     lam = lam_winner = None
     if matrix.k <= gate:
         lam, lam_winner = solvers.lower_bound(matrix, k_max=gate)
 
-    best = None
-    for i1 in winners:
-        cand = solvers.ecw_optimal(matrix, i1)
-        if best is None or cand.constant < best.constant:
-            best = cand
+    best = solvers._optimal(matrix, None, "ecw")
     explicit = solvers.ecw_explicit_bound(matrix, best.winner)
     worstcase = solvers.ecw_worstcase_bound(matrix)
     ccb = solvers.ccb_bound(matrix)
@@ -96,25 +91,12 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _write_file_atomic(text: str, path: str) -> None:
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except OSError as exc:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise TraceIOError(f"cannot write {path}: {exc}") from exc
-
-
 def cmd_run(args) -> int:
     matrix, label = _load(args)
     config = AlgorithmConfig(
         variant=args.algo,
         alpha=args.alpha,
         beta=args.beta,
-        seed=args.seed,
         k_max=args.k_max,
     )
     trace = harness.simulate_batch(
@@ -129,9 +111,7 @@ def cmd_run(args) -> int:
     path = args.output or harness.trace_filename(
         label, args.algo, args.horizon, args.runs, args.seed, args.format
     )
-    buf = io.StringIO()
-    harness.write_trace(trace, buf, format=args.format, include_runs=args.include_runs)
-    _write_file_atomic(buf.getvalue(), path)
+    harness.write_trace(trace, path, format=args.format, include_runs=args.include_runs)
 
     final = trace.mean[-1]
     ecw_const = solvers.ecw_constant(matrix)
@@ -160,7 +140,7 @@ def cmd_submatrix(args) -> int:
     rng = np.random.default_rng(args.seed)
     sub = core.sample_submatrix(matrix, args.k, args.min_gap, rng)
     path = args.output or f"{label}_sub{args.k}_s{args.seed}.csv"
-    _write_file_atomic(core.matrix_to_csv(sub), path)
+    core.save_matrix(sub, path)
     print(f"submatrix written: {path}")
     return 0
 

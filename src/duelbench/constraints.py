@@ -206,28 +206,38 @@ def _iter_ecw_descriptors(sup, losses, i1):
             yield i2, losses[i1] - 1, (), sset
 
 
-def _family_sets(matrix: PreferenceMatrix, i1: int, tie_tolerant: bool = False):
-    if not 1 <= i1 <= matrix.k:
+def _winner_sets(matrix: PreferenceMatrix, i1: int | None = None):
+    """0-based (superiors, inferiors, losses, winners) of a strict-gap matrix.
+
+    ``winners`` lists every Copeland winner in ascending order or, when a
+    1-based arm ``i1`` is given, only ``i1 - 1`` after checking that it is
+    a winner.  Raises on an arm out of range, then on ties, then on a
+    non-winner.
+    """
+    if i1 is not None and not 1 <= i1 <= matrix.k:
         raise ValidationError(f"arm index {i1} out of range for K={matrix.k}")
-    if matrix.has_ties and not tie_tolerant:
-        raise TiedPreferenceError("constraint families require strict gaps")
-    sup, inf_, losses = _copeland_sets(matrix.values, tie_tolerant)
-    if losses[i1 - 1] > min(losses):
+    if matrix.has_ties:
+        raise TiedPreferenceError("strict gaps required")
+    sup, inf_, losses = _copeland_sets(matrix.values, False)
+    low = min(losses)
+    if i1 is None:
+        return sup, inf_, losses, [i for i, li in enumerate(losses) if li == low]
+    if losses[i1 - 1] > low:
         raise NotAWinnerError(
-            f"arm {i1} has loss count {losses[i1 - 1]} > {min(losses)}; not a Copeland winner"
+            f"arm {i1} has loss count {losses[i1 - 1]} > {low}; not a Copeland winner"
         )
-    return sup, inf_, losses
+    return sup, inf_, losses, [i1 - 1]
 
 
 def cw_constraints(matrix: PreferenceMatrix, i1: int) -> ConstraintFamily:
     """Full divergence constraint family for candidate winner i1 (1-based)."""
-    sets = _family_sets(matrix, i1)
+    sets = _winner_sets(matrix, i1)[:3]
     return ConstraintFamily(kind="cw", i1=i1, k=matrix.k, pins=(), _sets=sets)
 
 
 def ecw_constraints(matrix: PreferenceMatrix, i1: int) -> ConstraintFamily:
     """Relaxed family: equality pins on i1's pairs plus per-rival subset constraints."""
-    sets = _family_sets(matrix, i1)
+    sets = _winner_sets(matrix, i1)[:3]
     pins = tuple((i1, j + 1) for j in sorted(sets[1][i1 - 1]))
     return ConstraintFamily(kind="ecw", i1=i1, k=matrix.k, pins=pins, _sets=sets)
 

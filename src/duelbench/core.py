@@ -14,8 +14,8 @@ The diagonal is exactly 1/2.
 
 from __future__ import annotations
 
-import io
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +25,7 @@ from .errors import (
     ExhaustedRejectionsError,
     ParseError,
     TiedPreferenceError,
+    TraceIOError,
     UnknownDatasetError,
     ValidationError,
 )
@@ -188,8 +189,8 @@ def _copeland_sets(values: np.ndarray, tie_tolerant: bool):
             )
     beats_me = values < 0.5  # j beats i where mu_ij < 1/2
     i_beat = values > 0.5
-    sup = [list(np.flatnonzero(beats_me[i]).tolist()) for i in range(k)]
-    inf_ = [list(np.flatnonzero(i_beat[i]).tolist()) for i in range(k)]
+    sup = [np.flatnonzero(beats_me[i]).tolist() for i in range(k)]
+    inf_ = [np.flatnonzero(i_beat[i]).tolist() for i in range(k)]
     losses = [len(s) for s in sup]
     return sup, inf_, losses
 
@@ -225,7 +226,7 @@ def regret_per_pair(summary: CopelandSummary, i: int, j: int) -> float:
     return num / (2.0 * (k - 1))
 
 
-def _regret_numerators(losses) -> list:
+def _regret_nums(losses) -> list:
     """Integer regret numerators L_i + L_j - 2 L_min as a K x K list of lists."""
     low = min(losses)
     return [[li + lj - 2 * low for lj in losses] for li in losses]
@@ -236,7 +237,7 @@ def regret_table(losses) -> np.ndarray:
     k = len(losses)
     if k == 1:
         return np.zeros((1, 1))
-    arr = np.asarray(_regret_numerators(losses), dtype=float)
+    arr = np.asarray(_regret_nums(losses), dtype=float)
     return arr / (2.0 * (k - 1))
 
 
@@ -290,9 +291,27 @@ def matrix_to_csv(matrix: PreferenceMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_atomic(text: str, path) -> None:
+    """Write ``text`` to ``<path>.tmp``, then rename it over ``path``.
+
+    Readers see the old file or the whole new one, never a partial write.
+    On failure the temporary file is removed and TraceIOError is raised.
+    """
+    path = os.fspath(path)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise TraceIOError(f"cannot write {path}: {exc}") from exc
+
+
 def save_matrix(matrix: PreferenceMatrix, path) -> None:
-    with io.open(path, "w", encoding="utf-8") as fh:
-        fh.write(matrix_to_csv(matrix))
+    """Write ``matrix_to_csv(matrix)`` to ``path`` atomically."""
+    _write_atomic(matrix_to_csv(matrix), path)
 
 
 # ---------------------------------------------------------------------------

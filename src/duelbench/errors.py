@@ -51,4 +51,4 @@ class InternalInconsistencyError(DuelbenchError, RuntimeError):
 
 
 class TraceIOError(DuelbenchError, OSError):
-    """Reading or writing a regret trace failed."""
+    """Reading or writing a trace or matrix file failed."""

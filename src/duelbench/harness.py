@@ -24,9 +24,8 @@ from .bandit import (
     select_pair,
     update_and_plan,
 )
-from .core import PreferenceMatrix, _copeland_sets
-from .errors import TiedPreferenceError, TraceIOError, ValidationError
-from .solvers import _regret_nums
+from .core import PreferenceMatrix, _copeland_sets, _regret_nums, _write_atomic
+from .errors import ParseError, TiedPreferenceError, TraceIOError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -213,7 +212,7 @@ def trace_filename(dataset: str, variant: str, horizon: int, runs: int, seed: in
 def write_trace(trace: RegretTrace, sink, format: str = "json", include_runs: bool = False) -> None:
     """Serialize a trace; JSON round-trips losslessly, CSV is aggregate-only.
 
-    ``sink`` is a path or a writable text stream.
+    ``sink`` is a writable text stream, or a path that is written atomically.
     """
     _validate_trace(trace)
     if format == "json":
@@ -233,26 +232,30 @@ def write_trace(trace: RegretTrace, sink, format: str = "json", include_runs: bo
         raise ValidationError(f"unsupported trace format: {format!r}")
     if hasattr(sink, "write"):
         sink.write(text)
-        return
-    try:
-        with open(sink, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise TraceIOError(f"cannot write trace to {sink}: {exc}") from exc
+    else:
+        _write_atomic(text, sink)
 
 
 def read_trace(source, format: str = "json") -> RegretTrace:
-    """Read a JSON trace back (the lossless format)."""
+    """Read a JSON trace back (the lossless format).
+
+    Raises TraceIOError if the source cannot be read and ParseError if it
+    is not a JSON trace.
+    """
     if format != "json":
         raise ValidationError("only JSON traces can be read back")
     try:
         if hasattr(source, "read"):
             text = source.read()
         else:
-            with open(source, "r", encoding="utf-8") as fh:
+            # bytes: json.loads decodes them, so bad UTF-8 is a parse error
+            with open(source, "rb") as fh:
                 text = fh.read()
     except OSError as exc:
         raise TraceIOError(f"cannot read trace from {source}: {exc}") from exc
-    trace = RegretTrace.from_json_dict(json.loads(text))
+    try:
+        trace = RegretTrace.from_json_dict(json.loads(text))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f"malformed trace ({type(exc).__name__}: {exc})") from None
     _validate_trace(trace)
     return trace

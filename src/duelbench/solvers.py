@@ -24,13 +24,13 @@ import numpy as np
 from .constraints import (
     RateVector,
     _iter_cw_descriptors,
+    _winner_sets,
     iter_pairs,
     pair_count,
     pair_index,
 )
-from .core import PreferenceMatrix, _copeland_sets, gap_divergence, kl_bernoulli
+from .core import PreferenceMatrix, _copeland_sets, _regret_nums, gap_divergence, kl_bernoulli
 from .errors import (
-    NotAWinnerError,
     NumericalInstabilityError,
     TiedPreferenceError,
     TooLargeError,
@@ -43,7 +43,23 @@ DEFAULT_K_MAX = 8
 
 def default_k_max() -> int:
     """Exact-LP size gate; override with the DUELBENCH_KMAX environment variable."""
-    return int(os.environ.get(_K_MAX_ENV, DEFAULT_K_MAX))
+    raw = os.environ.get(_K_MAX_ENV, str(DEFAULT_K_MAX))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValidationError(f"{_K_MAX_ENV} must be an integer, got {raw!r}") from None
+
+
+def lp_gate(k_max: int | None = None) -> int:
+    """The exact-LP size gate in force: ``k_max`` if given, else default_k_max()."""
+    return default_k_max() if k_max is None else k_max
+
+
+def check_lp_size(k: int, k_max: int | None = None) -> None:
+    """Raise TooLargeError if a K-arm exact LP exceeds the gate in force."""
+    gate = lp_gate(k_max)
+    if k > gate:
+        raise TooLargeError(f"exact LP gated at K_max={gate}, got K={k}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +97,7 @@ class OptimalExploration:
 
 
 def _prefix_solution(costs, slack):
-    """Best prefix-block solution: (values list, objective, block length h).
+    """Best prefix-block solution: (values list, objective).
 
     Ties between equal-objective block lengths resolve to the smallest h.
     """
@@ -89,7 +105,7 @@ def _prefix_solution(costs, slack):
     order = sorted(range(n), key=lambda idx: (costs[idx], idx))
     y = [0.0] * n
     if slack >= n:
-        return y, 0.0, 0
+        return y, 0.0
     acc = 0.0
     prefix = [0.0]
     for idx in order:
@@ -103,7 +119,7 @@ def _prefix_solution(costs, slack):
     level = 1.0 / (best_h - slack)
     for idx in order[:best_h]:
         y[idx] = level
-    return y, best_obj, best_h
+    return y, best_obj
 
 
 def solve_subproblem(instance: SubproblemInstance):
@@ -113,9 +129,7 @@ def solve_subproblem(instance: SubproblemInstance):
     of at least the set size means the constraint family is empty; the
     all-zero solution is returned with objective 0.
     """
-    y, obj, _ = _prefix_solution(list(instance.costs), instance.slack)
-    if instance.slack >= len(instance.costs):
-        return np.zeros(len(instance.costs)), 0.0
+    y, obj = _prefix_solution(list(instance.costs), instance.slack)
     return np.asarray(y), float(obj)
 
 
@@ -195,11 +209,6 @@ def simplex_solve(costs, constraints, upper_bounds):
 # internal planners shared with the bandit (0-based sets, tie-tolerant safe)
 
 
-def _regret_nums(losses):
-    low = min(losses)
-    return [[li + lj - 2 * low for lj in losses] for li in losses]
-
-
 def _ecw_plan(div, sup, inf_sets, losses, i1):
     """Closed-form relaxed rates: (q as K x K list, constant).
 
@@ -225,7 +234,7 @@ def _ecw_plan(div, sup, inf_sets, losses, i1):
         if need > len(cand):
             continue
         costs = [(rnum[j][i2] / denom) / div[j][i2] for j in cand]
-        y, _, _ = _prefix_solution(costs, len(cand) - need)
+        y, _ = _prefix_solution(costs, len(cand) - need)
         for j, yj in zip(cand, y):
             if yj > 0.0:
                 # pair roles are disjoint by construction: pins touch i1,
@@ -268,33 +277,48 @@ def _cw_lp(div, sup, inf_sets, losses, i1):
     return q, value
 
 
-def _checked_sets(matrix: PreferenceMatrix, i1: int):
-    if not 1 <= i1 <= matrix.k:
-        raise ValidationError(f"arm index {i1} out of range for K={matrix.k}")
-    if matrix.has_ties:
-        raise TiedPreferenceError("exploration programs require strict gaps")
-    sup, inf_sets, losses = _copeland_sets(matrix.values, False)
-    if losses[i1 - 1] > min(losses):
-        raise NotAWinnerError(f"arm {i1} is not a Copeland winner")
-    return sup, inf_sets, losses
+def _best_plan(planner, div, sets):
+    """(winner, q, constant) of the winner whose plan has the smallest constant.
+
+    ``sets`` is (superiors, inferiors, losses, winners), all 0-based, and
+    ``planner`` is _ecw_plan or _cw_lp.  Ties go to the winner listed
+    first, so an ascending list resolves them to the smallest arm.
+    """
+    sup, inf_sets, losses, winners = sets
+    best = None
+    for i1 in winners:
+        q, constant = planner(div, sup, inf_sets, losses, i1)
+        if best is None or constant < best[2]:
+            best = i1, q, constant
+    return best
 
 
-def _rates_from_matrix(k, q):
-    vals = np.array([q[i][j] for i, j in iter_pairs(k)]) if k > 1 else np.zeros(0)
-    return RateVector(k, vals)
+def _optimal(matrix: PreferenceMatrix, i1, variant: str, k_max=None) -> OptimalExploration:
+    """Optimal exploration of ``variant`` ("cw" or "ecw") for one winner.
+
+    ``i1`` is 1-based; None picks the winner with the smallest constant
+    (ties go to the smallest arm).  The winner checks run before the
+    exact-LP size gate, so a tied matrix is reported as tied at any K.
+    """
+    sets = _winner_sets(matrix, i1)
+    if variant == "cw":
+        check_lp_size(matrix.k, k_max)
+        planner, exactness = _cw_lp, "lp_exact"
+    else:
+        planner, exactness = _ecw_plan, "ecw_closed_form"
+    div = gap_divergence(matrix.values).tolist()
+    winner, q, constant = _best_plan(planner, div, sets)
+    return OptimalExploration(
+        winner=winner + 1,
+        rates=RateVector(matrix.k, [q[i][j] for i, j in iter_pairs(matrix.k)]),
+        constant=float(constant),
+        exactness=exactness,
+    )
 
 
 def ecw_optimal(matrix: PreferenceMatrix, i1: int) -> OptimalExploration:
     """Closed-form optimal rates of the relaxed program for winner i1 (1-based)."""
-    sup, inf_sets, losses = _checked_sets(matrix, i1)
-    div = gap_divergence(matrix.values).tolist()
-    q, constant = _ecw_plan(div, sup, inf_sets, losses, i1 - 1)
-    return OptimalExploration(
-        winner=i1,
-        rates=_rates_from_matrix(matrix.k, q),
-        constant=float(constant),
-        exactness="ecw_closed_form",
-    )
+    return _optimal(matrix, i1, "ecw")
 
 
 def lp_cw_optimal(matrix: PreferenceMatrix, i1: int, k_max: int | None = None) -> OptimalExploration:
@@ -303,18 +327,7 @@ def lp_cw_optimal(matrix: PreferenceMatrix, i1: int, k_max: int | None = None) -
     Raises TooLargeError beyond K_max arms (constraint count is
     exponential in K).
     """
-    gate = default_k_max() if k_max is None else k_max
-    if matrix.k > gate:
-        raise TooLargeError(f"exact LP gated at K_max={gate}, matrix has K={matrix.k}")
-    sup, inf_sets, losses = _checked_sets(matrix, i1)
-    div = gap_divergence(matrix.values).tolist()
-    q, constant = _cw_lp(div, sup, inf_sets, losses, i1 - 1)
-    return OptimalExploration(
-        winner=i1,
-        rates=_rates_from_matrix(matrix.k, q),
-        constant=float(constant),
-        exactness="lp_exact",
-    )
+    return _optimal(matrix, i1, "cw", k_max)
 
 
 def lower_bound(matrix: PreferenceMatrix, k_max: int | None = None):
@@ -322,32 +335,13 @@ def lower_bound(matrix: PreferenceMatrix, k_max: int | None = None):
 
     Returns (constant, winner); ties resolve to the smallest arm index.
     """
-    if matrix.has_ties:
-        raise TiedPreferenceError("exploration programs require strict gaps")
-    _, _, losses = _copeland_sets(matrix.values, False)
-    low = min(losses)
-    best_c, best_w = math.inf, -1
-    for i1 in range(1, matrix.k + 1):
-        if losses[i1 - 1] != low:
-            continue
-        val = lp_cw_optimal(matrix, i1, k_max=k_max).constant
-        if val < best_c:
-            best_c, best_w = val, i1
-    return best_c, best_w
+    best = _optimal(matrix, None, "cw", k_max)
+    return best.constant, best.winner
 
 
 def ecw_constant(matrix: PreferenceMatrix) -> float:
     """Leading regret constant of the relaxed program: min over winners."""
-    sup, inf_sets, losses = _copeland_sets(matrix.values, False)
-    div = gap_divergence(matrix.values).tolist()
-    low = min(losses)
-    best = math.inf
-    for i1 in range(matrix.k):
-        if losses[i1] != low:
-            continue
-        _, constant = _ecw_plan(div, sup, inf_sets, losses, i1)
-        best = min(best, constant)
-    return float(best)
+    return _optimal(matrix, None, "ecw").constant
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +370,7 @@ def ccb_bound(matrix: PreferenceMatrix) -> float:
 
 def ecw_explicit_bound(matrix: PreferenceMatrix, i1: int) -> float:
     """Feasible-point upper bound on the relaxed constant for winner i1."""
-    _, _, losses = _checked_sets(matrix, i1)
+    losses = _winner_sets(matrix, i1)[2]
     delta = _min_gap(matrix)
     d = kl_bernoulli(0.5 + delta, 0.5)
     low = min(losses)

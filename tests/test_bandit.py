@@ -47,6 +47,12 @@ class TestConfig:
             AlgorithmConfig(beta=-1.0)
         AlgorithmConfig(beta=0.0)  # explicitly permitted
 
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValidationError):
+            AlgorithmConfig(**{field: value})
+
     def test_size_gate(self):
         check_size(AlgorithmConfig(variant="ecw"), 16)
         with pytest.raises(TooLargeError):

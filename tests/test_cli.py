@@ -80,6 +80,13 @@ class TestBounds:
         code, _, err = run_cli(capsys, "bounds", "--input", "/no/such/file.csv")
         assert code == 4
 
+    def test_non_integer_k_max_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("DUELBENCH_KMAX", "abc")
+        code, out, err = run_cli(capsys, "bounds", "--dataset", "cyclic")
+        assert code == 2
+        assert out == ""
+        assert "DUELBENCH_KMAX" in err
+
     def test_bad_matrix(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0.5,0.7\n0.4,0.5\n")
@@ -133,6 +140,16 @@ class TestRun:
         )
         assert code == 3
         assert "K_max" in err
+
+    @pytest.mark.parametrize("flag,value", [("--alpha", "inf"), ("--beta", "nan")])
+    def test_non_finite_hyperparameter(self, capsys, tmp_path, flag, value):
+        code, _, err = run_cli(
+            capsys, "run", "--dataset", "cyclic", "--algo", "ecw", "--T", "10",
+            "--runs", "1", "--output", str(tmp_path / "t.json"), flag, value,
+        )
+        assert code == 2
+        assert "finite" in err
+        assert not (tmp_path / "t.json").exists()
 
     def test_tied_dataset_rejected(self, capsys):
         code, _, _ = run_cli(

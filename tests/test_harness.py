@@ -1,27 +1,30 @@
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from duelbench import (
     AlgorithmConfig,
+    ParseError,
     TiedPreferenceError,
     TooLargeError,
+    TraceIOError,
     ValidationError,
     builtin_dataset,
     checkpoint_grid,
     read_trace,
+    save_matrix,
     simulate,
     simulate_batch,
     split_seed,
     trace_filename,
     write_trace,
 )
-from duelbench.core import _copeland_sets
+from duelbench.core import _copeland_sets, _regret_nums
 from duelbench.harness import CSV_HEADER, RegretTrace, _run_single
-from duelbench.solvers import _regret_nums
 
 
 class TestCheckpointGrid:
@@ -211,8 +214,62 @@ class TestPersistence:
         with pytest.raises(TraceIOError):
             read_trace("/nonexistent-dir/x.json")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"checkpoints": [1, 2',  # not JSON
+            '{"runs": [[0.0]], "mean": [0.0], "std": [0.0], "meta": {}}',  # no checkpoints
+            "[1, 2, 3]",  # not an object
+        ],
+        ids=["bad-json", "missing-field", "top-level-list"],
+    )
+    def test_malformed_trace_is_a_parse_error(self, text, tmp_path):
+        with pytest.raises(ParseError):
+            read_trace(io.StringIO(text))
+        path = tmp_path / "t.json"
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            read_trace(path)
+
+    def test_undecodable_trace_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_bytes(b'\xff{"checkpoints": []}')
+        with pytest.raises(ParseError):
+            read_trace(path)
+
     def test_filename_convention(self):
         assert (
             trace_filename("cyclic", "ecw", 100000, 50, 7, "json")
             == "cyclic_ecw_T100000_r50_s7.json"
         )
+
+
+class TestAtomicWrite:
+    """Trace and matrix files are written whole or not at all."""
+
+    @pytest.fixture(params=["trace", "matrix"])
+    def write(self, request, cyclic):
+        if request.param == "trace":
+            trace = simulate(cyclic, AlgorithmConfig(), 10, run_seed=0)
+            return lambda path: write_trace(trace, path)
+        return lambda path: save_matrix(cyclic, path)
+
+    def test_writes_target_only(self, write, tmp_path):
+        path = tmp_path / "out.txt"
+        write(path)
+        assert sorted(os.listdir(tmp_path)) == ["out.txt"]
+
+    def test_missing_directory(self, write, tmp_path):
+        path = tmp_path / "missing" / "out.txt"
+        with pytest.raises(TraceIOError):
+            write(path)
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_rename(self, write, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(TraceIOError):
+            write(tmp_path / "out.txt")
+        assert os.listdir(tmp_path) == []

@@ -29,7 +29,7 @@ from duelbench import (
     solve_subproblem,
 )
 from duelbench.core import _copeland_sets
-from duelbench.solvers import default_k_max
+from duelbench.solvers import _optimal, default_k_max
 from oracles import subset_lp_rows, subset_solution_feasible
 
 
@@ -266,6 +266,19 @@ class TestLpCwOptimal:
         with pytest.raises(TooLargeError):
             lp_cw_optimal(cyclic, 1)
 
+    def test_k_max_env_must_be_an_integer(self, cyclic, monkeypatch):
+        monkeypatch.setenv("DUELBENCH_KMAX", "abc")
+        with pytest.raises(ValidationError, match="DUELBENCH_KMAX"):
+            default_k_max()
+        with pytest.raises(ValidationError, match="DUELBENCH_KMAX"):
+            lower_bound(cyclic)
+        assert lower_bound(cyclic, k_max=8) == lower_bound(cyclic, k_max=4)
+
+    def test_ties_reported_before_size_gate(self):
+        arxiv = builtin_dataset("arxiv")
+        with pytest.raises(TiedPreferenceError):
+            lower_bound(arxiv, k_max=3)
+
 
 class TestAggregates:
     def test_lower_bound_cyclic(self, cyclic):
@@ -316,6 +329,22 @@ class TestAggregates:
                 tilde = ecw_optimal(m, i1).constant
                 exact = lp_cw_optimal(m, i1).constant
                 assert abs(tilde - exact) <= 1e-6 * max(exact, 1e-12)
+
+    def test_best_winner(self):
+        # the smallest constant over the winners, ties to the smallest arm
+        rng = np.random.default_rng(47)
+        for _ in range(5):
+            m = random_tied_winner_matrix(rng, int(rng.integers(4, 6)))
+            _, _, losses = _copeland_sets(m.values, False)
+            winners = [i + 1 for i, li in enumerate(losses) if li == min(losses)]
+            for variant, solve in (("ecw", ecw_optimal), ("cw", lp_cw_optimal)):
+                per_winner = [solve(m, i1) for i1 in winners]
+                low = min(opt.constant for opt in per_winner)
+                first = next(opt for opt in per_winner if opt.constant == low)
+                best = _optimal(m, None, variant)
+                assert best.to_json_dict() == first.to_json_dict()
+            assert lower_bound(m) == (low, first.winner)
+            assert ecw_constant(m) == min(ecw_optimal(m, i1).constant for i1 in winners)
 
 
 class TestClosedFormBounds:
