@@ -12,14 +12,17 @@ near-tie threshold is +inf through round 16, sqrt(ln t) uses ln t
 directly (zero at t=1), and normalized counts divide by ln(max(t, 2)).
 
 Planning work is cached between rounds that change nothing but t
-(self-pair draws), which makes the converged regime O(K^2) per round
-for the guard scan and O(1) for the feasibility test.
+(self-pair draws), and the guard scan runs once per round.  Once the
+loop has converged to exploiting a candidate, the rounds until the next
+event are identical self-pair draws; ``advance_self_pairs`` applies such
+a stretch in one step, so the converged regime costs O(K^2) per event,
+not per round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isfinite, log, sqrt
+from math import ceil, exp, inf, isfinite, log, sqrt
 
 import numpy as np
 
@@ -79,6 +82,7 @@ class RmedState:
         "_div",
         "_budgets",
         "_plan",
+        "_guard",
     )
 
     def __init__(self, k: int):
@@ -101,6 +105,7 @@ class RmedState:
         self._div = None
         self._budgets = {}
         self._plan = None
+        self._guard = None  # (round, _first_guarded verdict) from select_pair
 
     # -- refreshed lazily after any feedback ------------------------------
 
@@ -143,9 +148,19 @@ def _first_guarded(state: RmedState, config: AlgorithmConfig):
     return None
 
 
+def _guard_verdict(state: RmedState, config: AlgorithmConfig):
+    """_first_guarded for round state.t, recorded so the round scans once."""
+    recorded = state._guard
+    if recorded is not None and recorded[0] == state.t:
+        return recorded[1]
+    guarded = _first_guarded(state, config)
+    state._guard = (state.t, guarded)
+    return guarded
+
+
 def select_pair(state: RmedState, config: AlgorithmConfig):
     """Next pair to draw, 1-based.  Guard rounds preempt the loop."""
-    guarded = _first_guarded(state, config)
+    guarded = _guard_verdict(state, config)
     if guarded is not None:
         return guarded[0] + 1, guarded[1] + 1
     i, j = state.lc[state.cursor]
@@ -172,22 +187,24 @@ def _compute_plan(state: RmedState, config: AlgorithmConfig):
     return ihat, q
 
 
+def _confirmed_winner(state: RmedState, config: AlgorithmConfig, logt: float):
+    """First empirical winner whose budget clears (1-tol) ln t, or None."""
+    threshold = (1.0 - FEASIBILITY_TOL) * logt
+    for i1 in state._sets[3]:
+        if state._budget(i1, config.variant) >= threshold:
+            return i1
+    return None
+
+
 def _plan_step(state: RmedState, config: AlgorithmConfig, pair):
     t = state.t
     logt = log(t) if t >= 2 else log(2.0)
     if state._dirty:
         state._refresh()
-    winners = state._sets[3]
-    if not winners:
+    if not state._sets[3]:
         raise InternalInconsistencyError("empirical winner set is empty")
 
-    threshold = (1.0 - FEASIBILITY_TOL) * logt
-    ihat = None
-    for i1 in winners:
-        if state._budget(i1, config.variant) >= threshold:
-            ihat = i1
-            break
-
+    ihat = _confirmed_winner(state, config, logt)
     if ihat is not None:
         candidates = {(ihat, ihat)}
     else:
@@ -227,8 +244,10 @@ def update_and_plan(state: RmedState, config: AlgorithmConfig, pair, outcome) ->
     l, m = pair[0] - 1, pair[1] - 1
     if not (0 <= l < state.k and 0 <= m < state.k):
         raise ValidationError(f"pair {pair} out of range for K={state.k}")
-    # phase is decided on the pre-update state, exactly as select_pair saw it
-    loop_round = config.variant != "random" and _first_guarded(state, config) is None
+    # phase is decided on the pre-update state, exactly as select_pair saw it;
+    # its verdict is reused only if it was recorded for this round
+    loop_round = config.variant != "random" and _guard_verdict(state, config) is None
+    state._guard = None
 
     if l != m:
         if outcome not in (0, 1, True, False):
@@ -250,3 +269,83 @@ def update_and_plan(state: RmedState, config: AlgorithmConfig, pair, outcome) ->
         _plan_step(state, config, (l, m))
     state.t += 1
     return state
+
+
+# ---------------------------------------------------------------------------
+# converged stretches
+
+
+def _first_failing(holds, start: int, stop: int, guess: int) -> int:
+    """First round in (start, stop) where ``holds`` is false, else ``stop``.
+
+    ``holds`` must be true at ``start`` and monotone (true, then false).
+    Walking from a closed-form ``guess`` evaluates the exact predicate, so
+    float rounding in the closed form cannot move the answer.
+    """
+    r = min(max(guess, start + 1), stop)
+    while r > start + 1 and not holds(r - 1):
+        r -= 1
+    while r < stop and holds(r):
+        r += 1
+    return r
+
+
+def _exp_guess(x: float, stop: int) -> int:
+    """ceil(exp(x)) clamped to ``stop``; safe for x = inf and for overflow."""
+    return stop if not x < log(stop) else ceil(exp(x))
+
+
+def _count_guard_end(low: int, alpha: float, start: int, stop: int) -> int:
+    """First round after ``start`` at which ``low < alpha*sqrt(ln t)`` (capped at ``stop``)."""
+    q = low / alpha
+    return _first_failing(
+        lambda r: not low < alpha * sqrt(log(r)), start, stop, _exp_guess(q * q, stop)
+    )
+
+
+def _budget_end(budget: float, start: int, stop: int) -> int:
+    """First round after ``start`` at which ``budget`` falls below (1-tol) ln t (capped at ``stop``)."""
+    scale = 1.0 - FEASIBILITY_TOL
+    return _first_failing(
+        lambda r: budget >= scale * log(r), start, stop, _exp_guess(budget / scale, stop)
+    )
+
+
+def advance_self_pairs(state: RmedState, config: AlgorithmConfig, last_round: int) -> int:
+    """Apply, in one step, the self-pair rounds that start at round state.t.
+
+    At the loop's fixed point (L_C = [(ihat, ihat)], nothing queued, no
+    feedback since the last refresh), past the bootstrap rounds, with no
+    guard firing and ihat the first winner whose budget clears
+    (1-tol) ln t, every round draws (ihat, ihat) and changes only
+    counts[ihat][ihat] and t, until alpha*sqrt(ln t) passes the smallest
+    off-diagonal count or (1-tol) ln t passes ihat's budget.  The near-tie
+    guard only loosens as t grows and a failing budget keeps failing, so
+    nothing else can end the stretch.  Rounds past ``last_round`` are left
+    alone.  Returns the number of rounds applied, 0 when round state.t
+    is not such a round; no random numbers are drawn.
+    """
+    t = state.t
+    if (
+        config.variant == "random"
+        or state._dirty
+        or state.cursor
+        or state.ln_next
+        or len(state.lc) != 1
+        or t <= BOOTSTRAP_ROUNDS
+        or t > last_round
+    ):
+        return 0
+    h, other = state.lc[0]
+    if h != other or _guard_verdict(state, config) is not None:
+        return 0
+    if _confirmed_winner(state, config, log(t)) != h:
+        return 0
+    counts = state.counts
+    low = min(counts[i][j] for i, j in state._pairs)
+    end = _count_guard_end(low, config.alpha, t, last_round + 1)
+    end = _budget_end(state._budget(h, config.variant), t, end)
+    counts[h][h] += end - t
+    state.t = end
+    state.ihat = h + 1
+    return end - t

@@ -34,7 +34,8 @@ def _load(args) -> tuple:
     """(matrix, label) from --dataset or --input."""
     if getattr(args, "dataset", None):
         return core.builtin_dataset(args.dataset), args.dataset
-    with open(args.input, "r", encoding="utf-8") as fh:
+    # bytes: load_matrix decodes them, so bad UTF-8 is a parse error
+    with open(args.input, "rb") as fh:
         matrix = core.load_matrix(fh, allow_ties=getattr(args, "allow_ties", False))
     label = os.path.splitext(os.path.basename(args.input))[0]
     return matrix, label

@@ -276,10 +276,13 @@ def load_matrix(source, format: str = "csv", allow_ties: bool = False) -> Prefer
     """
     if format != "csv":
         raise ValidationError(f"unsupported matrix format: {format!r}")
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
+    try:
+        if hasattr(source, "read"):
+            source = source.read()
+        if isinstance(source, bytes):
+            source = source.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"matrix input is not UTF-8 ({exc})") from None
     if not isinstance(source, str):
         raise ParseError(f"cannot read matrix from {type(source).__name__}")
     return PreferenceMatrix(_parse_csv(source), allow_ties=allow_ties)
@@ -292,15 +295,23 @@ def matrix_to_csv(matrix: PreferenceMatrix) -> str:
 
 
 def _write_atomic(text: str, path) -> None:
-    """Write ``text`` to ``<path>.tmp``, then rename it over ``path``.
+    """Write ``text`` to a new temporary file beside ``path``, then rename it over ``path``.
 
     Readers see the old file or the whole new one, never a partial write.
-    On failure the temporary file is removed and TraceIOError is raised.
+    The temporary name is unique, so no other file is touched and
+    concurrent writers of one path do not share it; it is created with
+    mode 0o666 less the umask, like any new file.  On failure the
+    temporary file is removed and TraceIOError is raised.
     """
     path = os.fspath(path)
-    tmp = path + ".tmp"
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise TraceIOError(f"cannot write {path}: {exc}") from exc
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:

@@ -4,7 +4,9 @@ Each run owns an independent RNG stream derived from (master seed, run
 index), so a batch aggregates to the same bytes no matter how many
 worker processes execute it.  Regret is accumulated in integer units of
 1/(2(K-1)) and divided only at checkpoints, which keeps the ledger
-exactly equal to sum_pairs r(i,j) * N_ij(T).
+exactly equal to sum_pairs r(i,j) * N_ij(T).  Stretches of identical
+exploit rounds are applied in one step (``advance_self_pairs``); they
+draw no random numbers, so the bytes equal those of stepping each round.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 from .bandit import (
     AlgorithmConfig,
     RmedState,
+    advance_self_pairs,
     check_size,
     random_baseline_select,
     select_pair,
@@ -101,23 +104,26 @@ def _run_single(matrix: PreferenceMatrix, config: AlgorithmConfig, horizon: int,
     state = RmedState(k)
     grid = checkpoint_grid(horizon)
     row = []
-    cp_idx = 0
     acc = 0
     is_random = config.variant == "random"
-    for t in range(1, horizon + 1):
-        if is_random:
-            l, m = random_baseline_select(rng, k)
-        else:
-            l, m = select_pair(state, config)
-        if l == m:
-            outcome = None
-        else:
-            outcome = 1 if rng.random() < vals[l - 1][m - 1] else 0
-        update_and_plan(state, config, (l, m), outcome)
-        acc += rnum[l - 1][m - 1]
-        if t == grid[cp_idx]:
-            row.append(acc / denom)
-            cp_idx += 1
+    for last in grid:
+        while state.t <= last:
+            if is_random:
+                l, m = random_baseline_select(rng, k)
+            else:
+                n = advance_self_pairs(state, config, last)
+                if n:
+                    h = state.ihat - 1
+                    acc += n * rnum[h][h]
+                    continue
+                l, m = select_pair(state, config)
+            if l == m:
+                outcome = None
+            else:
+                outcome = 1 if rng.random() < vals[l - 1][m - 1] else 0
+            update_and_plan(state, config, (l, m), outcome)
+            acc += rnum[l - 1][m - 1]
+        row.append(acc / denom)
     return grid, row, state
 
 

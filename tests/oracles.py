@@ -3,11 +3,18 @@
 Everything here re-derives the constraint families directly from their
 set-quantified definitions with plain itertools enumeration, without
 touching the library's sorted fast paths or descriptor generators.
-Intended for K <= 6.
+Intended for K <= 6.  ``run_per_round`` is the simulation loop stepped one
+round at a time, the reference for the harness's stretch skipping.
 """
 
 import itertools
 import math
+
+import numpy as np
+
+from duelbench.bandit import RmedState, random_baseline_select, select_pair, update_and_plan
+from duelbench.core import _copeland_sets, _regret_nums
+from duelbench.harness import _check_preconditions, checkpoint_grid
 
 
 def sign_sets(values):
@@ -112,3 +119,35 @@ def subset_solution_feasible(y, slack, tol=1e-9):
         sum(y[j] for j in subset) >= 1.0 - tol
         for subset in itertools.combinations(range(n), n - slack)
     )
+
+
+def run_per_round(matrix, config, horizon, seed):
+    """Reference simulation loop: every round through select_pair/update_and_plan.
+
+    Same contract as ``harness._run_single`` (checkpoints, regret row,
+    terminal state), without applying any stretch of rounds in one step.
+    """
+    _check_preconditions(matrix, config, horizon)
+    k = matrix.k
+    vals = matrix.values.tolist()
+    _, _, losses = _copeland_sets(matrix.values, False)
+    rnum = _regret_nums(losses)
+    rng = np.random.default_rng(seed)
+    state = RmedState(k)
+    grid = checkpoint_grid(horizon)
+    row = []
+    cp_idx = 0
+    acc = 0
+    for t in range(1, horizon + 1):
+        if config.variant == "random":
+            l, m = random_baseline_select(rng, k)
+        else:
+            l, m = select_pair(state, config)
+        outcome = None if l == m else (1 if rng.random() < vals[l - 1][m - 1] else 0)
+        state._guard = None  # update_and_plan rescans the guards itself
+        update_and_plan(state, config, (l, m), outcome)
+        acc += rnum[l - 1][m - 1]
+        if t == grid[cp_idx]:
+            row.append(acc / (2.0 * (k - 1)))
+            cp_idx += 1
+    return grid, row, state

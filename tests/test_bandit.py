@@ -13,6 +13,7 @@ from duelbench import (
     select_pair,
     update_and_plan,
 )
+from duelbench import bandit
 from duelbench.bandit import BOOTSTRAP_ROUNDS, check_size
 
 
@@ -125,6 +126,44 @@ class TestSelectPair:
         update_and_plan(state, cfg, (1, 1), None)
         planned = set(state.lc)
         assert any(i != j for i, j in planned)
+
+
+class TestGuardScanOncePerRound:
+    def test_select_then_update_scans_once(self, cyclic, monkeypatch):
+        scans = []
+        scan = bandit._first_guarded
+        monkeypatch.setattr(bandit, "_first_guarded", lambda *a: scans.append(1) or scan(*a))
+        cfg = AlgorithmConfig()
+        state = RmedState(4)
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            pair = select_pair(state, cfg)
+            out = None
+            if pair[0] != pair[1]:
+                out = int(rng.random() < cyclic.values[pair[0] - 1][pair[1] - 1])
+            update_and_plan(state, cfg, pair, out)
+            assert state._guard is None  # the verdict is consumed
+        assert len(scans) == 200
+
+    def test_update_without_select_recomputes(self, cyclic):
+        # a verdict recorded for another round is not reused: at t=5 the
+        # bootstrap near-tie guard fires, so this is a guard round, not a loop round
+        cfg = AlgorithmConfig()
+        state = exploit_ready_state(cyclic, t=2000, n=1000)
+        state.lc = [(0, 0)]
+        state.lr = {(0, 0)}
+        state.cursor = 0
+        assert select_pair(state, cfg) == (1, 1)  # loop verdict recorded for t=2000
+        state.t = 5
+        update_and_plan(state, cfg, (2, 1), 1)
+        assert state.lc == [(0, 0)] and state.cursor == 0 and state.ihat is None
+        # without any recorded verdict the loop round plans
+        state = exploit_ready_state(cyclic, t=2000, n=1000)
+        state.lc = [(0, 0)]
+        state.lr = {(0, 0)}
+        state.cursor = 0
+        update_and_plan(state, cfg, (1, 1), None)
+        assert state.ihat == 1
 
 
 class TestUpdateBookkeeping:

@@ -95,6 +95,23 @@ class TestBounds:
         assert "asymmetric" in err
 
 
+    @pytest.mark.parametrize("command", ["bounds", "run", "submatrix"])
+    def test_non_utf8_input(self, capsys, tmp_path, command):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\xff0.5,0.6\n0.4,0.5\n")
+        extra = {"bounds": [], "run": ["--algo", "ecw", "--T", "10"], "submatrix": ["--k", "2"]}[command]
+        code, out, err = run_cli(capsys, command, "--input", str(path), *extra)
+        assert code == 2
+        assert "UTF-8" in err
+
+    def test_crlf_input(self, capsys, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"0.5,0.6\r\n0.4,0.5\r\n")
+        code, out, _ = run_cli(capsys, "bounds", "--input", str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["k"] == 2
+
+
 class TestRun:
     def test_writes_trace_and_summary(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -205,6 +205,14 @@ class TestLoadMatrix:
 
         assert load_matrix(io.StringIO(text)) == expected
 
+    def test_non_utf8_bytes(self):
+        with pytest.raises(ParseError, match="UTF-8"):
+            load_matrix(b"\xff0.5,0.6\n0.4,0.5\n")
+        import io
+
+        with pytest.raises(ParseError, match="UTF-8"):
+            load_matrix(io.BytesIO(b"0.5,0.6\n0.4,\xff0.5\n"))
+
     def test_strict_rejects_tie(self):
         with pytest.raises(TiedPreferenceError):
             load_matrix("0.5,0.5\n0.5,0.5")

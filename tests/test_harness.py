@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -273,3 +274,19 @@ class TestAtomicWrite:
         with pytest.raises(TraceIOError):
             write(tmp_path / "out.txt")
         assert os.listdir(tmp_path) == []
+
+    def test_existing_tmp_name_untouched(self, write, tmp_path):
+        # the temporary file is unique: a file called <path>.tmp is someone else's
+        (tmp_path / "out.txt.tmp").write_text("keep me")
+        write(tmp_path / "out.txt")
+        write(tmp_path / "out.txt")  # replacing an existing target too
+        assert sorted(os.listdir(tmp_path)) == ["out.txt", "out.txt.tmp"]
+        assert (tmp_path / "out.txt.tmp").read_text() == "keep me"
+
+    def test_mode_follows_umask(self, write, tmp_path):
+        old = os.umask(0o027)
+        try:
+            write(tmp_path / "out.txt")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(tmp_path / "out.txt").st_mode) == 0o640
