@@ -26,7 +26,7 @@ from math import ceil, exp, inf, isfinite, log, sqrt
 
 import numpy as np
 
-from .constraints import FEASIBILITY_TOL, min_lhs_cw, min_lhs_ecw
+from .constraints import FEASIBILITY_TOL, iter_pairs, min_lhs_cw, min_lhs_ecw
 from .core import _copeland_sets, gap_divergence
 from .errors import InternalInconsistencyError, ValidationError
 from .solvers import _best_plan, _cw_lp, _ecw_plan, check_lp_size
@@ -93,7 +93,7 @@ class RmedState:
         self.counts = [[0] * k for _ in range(k)]
         self.wins = [[0] * k for _ in range(k)]
         self.muhat = [[0.5] * k for _ in range(k)]
-        self._pairs = [(i, j) for i in range(k) for j in range(i)]
+        self._pairs = list(iter_pairs(k))
         self.lc = list(self._pairs)
         self.lr = set(self._pairs)
         self.ln_next = set()
@@ -112,13 +112,10 @@ class RmedState:
     def _refresh(self):
         vals = np.array(self.muhat)
         # estimates can sit exactly at 1/2; such pairs count in neither set
-        sup, inf_sets, losses = _copeland_sets(vals, tie_tolerant=True)
-        low = min(losses)
-        winners = [i for i in range(self.k) if losses[i] == low]
+        self._sets = _copeland_sets(vals)
         div = gap_divergence(vals)
         self._div = div.tolist()
         self._weights = (np.array(self.counts, dtype=float) * div).tolist()
-        self._sets = (sup, inf_sets, losses, winners)
         self._budgets = {}
         self._plan = None
         self._dirty = False
@@ -180,13 +177,6 @@ def random_baseline_select(rng: np.random.Generator, k: int):
     return i + 1, j + 1
 
 
-def _compute_plan(state: RmedState, config: AlgorithmConfig):
-    """argmin-winner plan on the empirical matrix: (ihat0, rate matrix)."""
-    planner = _cw_lp if config.variant == "cw" else _ecw_plan
-    ihat, q, _ = _best_plan(planner, state._div, state._sets)
-    return ihat, q
-
-
 def _confirmed_winner(state: RmedState, config: AlgorithmConfig, logt: float):
     """First empirical winner whose budget clears (1-tol) ln t, or None."""
     threshold = (1.0 - FEASIBILITY_TOL) * logt
@@ -208,16 +198,15 @@ def _plan_step(state: RmedState, config: AlgorithmConfig, pair):
     if ihat is not None:
         candidates = {(ihat, ihat)}
     else:
-        plan = state._plan
-        if plan is None:
-            plan = _compute_plan(state, config)
-            state._plan = plan
-        ihat, qmat = plan
+        if state._plan is None:
+            # argmin-winner plan on the empirical matrix: (ihat0, rates per pair)
+            planner = _cw_lp if config.variant == "cw" else _ecw_plan
+            state._plan = _best_plan(planner, state._div, state._sets)[:2]
+        ihat, rates = state._plan
         counts = state.counts
-        candidates = set()
-        for i, j in state._pairs:
-            if qmat[i][j] > counts[i][j] / logt:
-                candidates.add((i, j))
+        candidates = {
+            (i, j) for (i, j), q in zip(state._pairs, rates) if q > counts[i][j] / logt
+        }
         candidates.add((ihat, ihat))
     state.ihat = ihat + 1
 

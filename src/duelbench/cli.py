@@ -17,7 +17,7 @@ import numpy as np
 
 from . import core, harness, solvers
 from .bandit import DEFAULT_ALPHA, DEFAULT_BETA, AlgorithmConfig
-from .errors import DuelbenchError, TooLargeError, TraceIOError
+from .errors import DuelbenchError
 
 
 def _sig3(x: float) -> str:
@@ -25,9 +25,10 @@ def _sig3(x: float) -> str:
         return "0"
     if not math.isfinite(x):
         return str(x)
-    digits = math.floor(math.log10(abs(x)))
-    decimals = max(0, 2 - digits)
-    return f"{round(x, 2 - digits):.{decimals}f}"
+    rounded = round(x, 2 - math.floor(math.log10(abs(x))))
+    # decimals follow the rounded value, which may have carried into the next power of ten
+    decimals = max(0, 2 - math.floor(math.log10(abs(rounded))))
+    return f"{rounded:.{decimals}f}"
 
 
 def _load(args) -> tuple:
@@ -51,7 +52,7 @@ def cmd_bounds(args) -> int:
     if matrix.k <= gate:
         lam, lam_winner = solvers.lower_bound(matrix, k_max=gate)
 
-    best = solvers._optimal(matrix, None, "ecw")
+    best = solvers.ecw_optimal(matrix)
     explicit = solvers.ecw_explicit_bound(matrix, best.winner)
     worstcase = solvers.ecw_worstcase_bound(matrix)
     ccb = solvers.ccb_bound(matrix)
@@ -204,18 +205,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except TooLargeError as exc:
+    except (DuelbenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except TraceIOError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except DuelbenchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        # a plain OSError is an I/O failure like TraceIOError
+        return getattr(exc, "exit_code", 4)
 
 
 if __name__ == "__main__":

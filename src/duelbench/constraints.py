@@ -46,7 +46,9 @@ def iter_pairs(k: int):
 
 
 def pair_index(i: int, j: int) -> int:
-    """Index of 0-based pair (i, j), i > j, in the lexicographic enumeration."""
+    """Index of the 0-based unordered pair {i, j}, i != j, in the lexicographic enumeration."""
+    if i < j:
+        i, j = j, i
     return i * (i - 1) // 2 + j
 
 
@@ -85,19 +87,21 @@ class RateVector:
         """Build from a {"i-j": rate} map with 1-based i > j keys."""
         vals = np.zeros(pair_count(k))
         for key, rate in mapping.items():
-            i_s, j_s = key.split("-")
-            i, j = int(i_s), int(j_s)
+            try:
+                i_s, j_s = key.split("-")
+                i, j, rate = int(i_s), int(j_s), float(rate)
+            except (AttributeError, TypeError, ValueError):
+                raise ValidationError(f"bad rate entry {key!r}: {rate!r}") from None
             if not (1 <= j < i <= k):
                 raise ValidationError(f"bad pair key {key!r} for K={k}")
-            vals[pair_index(i - 1, j - 1)] = float(rate)
+            vals[pair_index(i - 1, j - 1)] = rate
         return cls(k, vals)
 
     def get(self, i: int, j: int) -> float:
         """Rate of the unordered pair {i, j}, 1-based."""
         if i == j or not (1 <= i <= self.k and 1 <= j <= self.k):
             raise ValidationError(f"bad pair ({i},{j}) for K={self.k}")
-        a, b = (i - 1, j - 1) if i > j else (j - 1, i - 1)
-        return float(self.values[pair_index(a, b)])
+        return float(self.values[pair_index(i - 1, j - 1)])
 
     def to_map(self) -> dict:
         """JSON-friendly {"i-j": rate} map, 1-based, lexicographic order."""
@@ -218,13 +222,13 @@ def _winner_sets(matrix: PreferenceMatrix, i1: int | None = None):
         raise ValidationError(f"arm index {i1} out of range for K={matrix.k}")
     if matrix.has_ties:
         raise TiedPreferenceError("strict gaps required")
-    sup, inf_, losses = _copeland_sets(matrix.values, False)
-    low = min(losses)
+    sup, inf_, losses, winners = _copeland_sets(matrix.values)
     if i1 is None:
-        return sup, inf_, losses, [i for i, li in enumerate(losses) if li == low]
-    if losses[i1 - 1] > low:
+        return sup, inf_, losses, winners
+    if i1 - 1 not in winners:
         raise NotAWinnerError(
-            f"arm {i1} has loss count {losses[i1 - 1]} > {low}; not a Copeland winner"
+            f"arm {i1} has loss count {losses[i1 - 1]} > {losses[winners[0]]}; "
+            "not a Copeland winner"
         )
     return sup, inf_, losses, [i1 - 1]
 

@@ -108,11 +108,11 @@ class PreferenceMatrix:
         vals[low] = arr[low]
         vals[(low[1], low[0])] = 1.0 - arr[low]
 
-        ties = bool((vals[low] == 0.5).any()) if k > 1 else False
+        # both triangles: 1 - mu can round to exactly 1/2 when mu does not
+        tied = (vals == 0.5) & ~np.eye(k, dtype=bool)
+        ties = bool(tied.any())
         if ties and not allow_ties:
-            i, j = next(
-                (a, b) for a, b in zip(*low) if vals[a, b] == 0.5
-            )
+            i, j = next((a, b) for a, b in zip(*low) if tied[a, b] or tied[b, a])
             raise TiedPreferenceError(
                 f"mu({i + 1},{j + 1}) = 1/2 but strict gaps were required "
                 "(load with allow_ties=True for tie-tolerant mode)"
@@ -178,21 +178,20 @@ class CopelandSummary:
         return self.ordered_losses[0] == 0
 
 
-def _copeland_sets(values: np.ndarray, tie_tolerant: bool):
-    """0-based (superiors, inferiors, losses) lists; raises on ties unless tolerated."""
+def _copeland_sets(values: np.ndarray):
+    """0-based (superiors, inferiors, losses, ascending winners) lists.
+
+    A tied pair counts in neither set; callers needing strict gaps check ``has_ties``.
+    """
     k = values.shape[0]
-    if k > 1 and not tie_tolerant:
-        off = ~np.eye(k, dtype=bool)
-        if (values[off] == 0.5).any():
-            raise TiedPreferenceError(
-                "matrix has tied pairs; pass tie_tolerant=True to count them in neither set"
-            )
     beats_me = values < 0.5  # j beats i where mu_ij < 1/2
     i_beat = values > 0.5
     sup = [np.flatnonzero(beats_me[i]).tolist() for i in range(k)]
     inf_ = [np.flatnonzero(i_beat[i]).tolist() for i in range(k)]
     losses = [len(s) for s in sup]
-    return sup, inf_, losses
+    low = min(losses)
+    winners = [i for i, li in enumerate(losses) if li == low]
+    return sup, inf_, losses, winners
 
 
 def copeland_summary(matrix: PreferenceMatrix, tie_tolerant: bool = False) -> CopelandSummary:
@@ -201,15 +200,15 @@ def copeland_summary(matrix: PreferenceMatrix, tie_tolerant: bool = False) -> Co
     In strict mode a tied off-diagonal entry raises TiedPreferenceError.
     In tie-tolerant mode tied pairs count in neither set.
     """
-    sup, inf_, losses = _copeland_sets(matrix.values, tie_tolerant)
-    low = min(losses)
-    winners = frozenset(i + 1 for i, li in enumerate(losses) if li == low)
+    if matrix.has_ties and not tie_tolerant:
+        raise TiedPreferenceError("strict gaps required")
+    sup, inf_, losses, winners = _copeland_sets(matrix.values)
     return CopelandSummary(
         k=matrix.k,
         superiors=tuple(frozenset(j + 1 for j in s) for s in sup),
         inferiors=tuple(frozenset(j + 1 for j in h) for h in inf_),
         losses=tuple(losses),
-        winners=winners,
+        winners=frozenset(i + 1 for i in winners),
         winner_count=len(winners),
         ordered_losses=tuple(sorted(losses)),
     )
@@ -220,10 +219,7 @@ def regret_per_pair(summary: CopelandSummary, i: int, j: int) -> float:
     k = summary.k
     if not (1 <= i <= k and 1 <= j <= k):
         raise ValidationError(f"arm index out of range: ({i},{j}) for K={k}")
-    if k == 1:
-        return 0.0
-    num = summary.losses[i - 1] + summary.losses[j - 1] - 2 * summary.min_loss
-    return num / (2.0 * (k - 1))
+    return float(regret_table(summary.losses)[i - 1, j - 1])
 
 
 def _regret_nums(losses) -> list:
@@ -432,8 +428,8 @@ def sample_submatrix(
         rng = np.random.default_rng(int(rng))
     if not 1 <= k <= matrix.k:
         raise ValidationError(f"submatrix size k={k} out of range for K={matrix.k}")
-    if min_gap < 0:
-        raise ValidationError(f"min_gap must be nonnegative, got {min_gap!r}")
+    if not (min_gap >= 0 and math.isfinite(min_gap)):
+        raise ValidationError(f"min_gap must be finite and nonnegative, got {min_gap!r}")
     values = matrix.values
     off = ~np.eye(k, dtype=bool)
     for _ in range(max_attempts):

@@ -1,13 +1,16 @@
 """Semantic exception hierarchy for duelbench.
 
 Every error raised by the library derives from :class:`DuelbenchError`, so
-callers can catch the whole family at once.  The CLI maps these onto exit
-codes (validation -> 2, size gate -> 3, I/O -> 4).
+callers can catch the whole family at once.  Each type carries the CLI
+exit code it maps to (``exit_code``: validation -> 2, size gate -> 3,
+I/O -> 4).
 """
 
 
 class DuelbenchError(Exception):
     """Base class for all duelbench errors."""
+
+    exit_code = 2
 
 
 class ParseError(DuelbenchError, ValueError):
@@ -41,6 +44,8 @@ class NotAWinnerError(DuelbenchError, ValueError):
 class TooLargeError(DuelbenchError, ValueError):
     """Problem size exceeds the exact-solver gate (K > K_max)."""
 
+    exit_code = 3
+
 
 class NumericalInstabilityError(DuelbenchError, ArithmeticError):
     """The LP solver was forced onto a pivot too small to trust."""
@@ -52,3 +57,5 @@ class InternalInconsistencyError(DuelbenchError, RuntimeError):
 
 class TraceIOError(DuelbenchError, OSError):
     """Reading or writing a trace or matrix file failed."""
+
+    exit_code = 4

@@ -84,7 +84,7 @@ def split_seed(master_seed: int, run_index: int) -> int:
 
 def _check_preconditions(matrix: PreferenceMatrix, config: AlgorithmConfig, horizon: int):
     if matrix.has_ties:
-        raise TiedPreferenceError("simulation requires strict gaps")
+        raise TiedPreferenceError("strict gaps required")
     if matrix.k < 2:
         raise ValidationError("simulation needs at least two arms")
     if horizon < 1:
@@ -97,7 +97,7 @@ def _run_single(matrix: PreferenceMatrix, config: AlgorithmConfig, horizon: int,
     _check_preconditions(matrix, config, horizon)
     k = matrix.k
     vals = matrix.values.tolist()
-    _, _, losses = _copeland_sets(matrix.values, False)
+    _, _, losses, _ = _copeland_sets(matrix.values)
     rnum = _regret_nums(losses)
     denom = 2.0 * (k - 1)
     rng = np.random.default_rng(seed)
@@ -175,6 +175,8 @@ def simulate_batch(
     """Aggregate over independent runs; output is identical for any parallelism."""
     if runs < 1:
         raise ValidationError(f"need at least one run, got {runs}")
+    if parallelism < 1:
+        raise ValidationError(f"parallelism must be at least 1, got {parallelism}")
     _check_preconditions(matrix, config, horizon)
     seeds = [split_seed(master_seed, r) for r in range(runs)]
     jobs = [(matrix, config, horizon, s) for s in seeds]

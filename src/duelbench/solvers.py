@@ -210,7 +210,7 @@ def simplex_solve(costs, constraints, upper_bounds):
 
 
 def _ecw_plan(div, sup, inf_sets, losses, i1):
-    """Closed-form relaxed rates: (q as K x K list, constant).
+    """Closed-form relaxed rates: (one rate per pair in iter_pairs order, constant).
 
     div is the pairwise gap divergence; tied pairs (div 0) never appear in
     the given sets and receive no rate.
@@ -218,12 +218,11 @@ def _ecw_plan(div, sup, inf_sets, losses, i1):
     k = len(losses)
     denom = 2.0 * (k - 1) if k > 1 else 1.0
     rnum = _regret_nums(losses)
-    q = [[0.0] * k for _ in range(k)]
+    q = [0.0] * pair_count(k)
     constant = 0.0
     for j in inf_sets[i1]:
         rate = 1.0 / div[i1][j]
-        q[i1][j] = rate
-        q[j][i1] = rate
+        q[pair_index(i1, j)] = rate
         constant += (rnum[i1][j] / denom) * rate
     li1 = losses[i1]
     for i2 in range(k):
@@ -239,46 +238,38 @@ def _ecw_plan(div, sup, inf_sets, losses, i1):
             if yj > 0.0:
                 # pair roles are disjoint by construction: pins touch i1,
                 # and each subproblem only sets the losing side of i2
-                assert q[j][i2] == 0.0
+                p = pair_index(j, i2)
+                assert q[p] == 0.0
                 rate = yj / div[j][i2]
-                q[j][i2] = rate
-                q[i2][j] = rate
+                q[p] = rate
                 constant += (rnum[j][i2] / denom) * rate
     return q, constant
 
 
 def _cw_lp(div, sup, inf_sets, losses, i1):
-    """Exact full-family LP: (q as K x K list, constant)."""
+    """Exact full-family LP: (one rate per pair in iter_pairs order, constant)."""
     k = len(losses)
-    npairs = pair_count(k)
-    if npairs == 0:
-        return [[0.0]], 0.0
     denom = 2.0 * (k - 1)
     rnum = _regret_nums(losses)
-    c = np.array([rnum[i][j] / denom for i, j in iter_pairs(k)])
-    u = np.array([1.0 / div[i][j] if div[i][j] > 0.0 else 0.0 for i, j in iter_pairs(k)])
-    seen = {}
-    for i2, _l, iset, sset in _iter_cw_descriptors(sup, inf_sets, losses, i1):
-        idxs = frozenset(
-            [pair_index(max(i1, j), min(i1, j)) for j in iset]
-            + [pair_index(max(i2, j), min(i2, j)) for j in sset]
-        )
-        if idxs not in seen:
-            seen[idxs] = True
-    divs = [div[i][j] for i, j in iter_pairs(k)]
-    rows = np.zeros((len(seen), npairs))
+    pairs = list(iter_pairs(k))
+    c = np.array([rnum[i][j] / denom for i, j in pairs])
+    divs = [div[i][j] for i, j in pairs]
+    u = np.array([1.0 / d if d > 0.0 else 0.0 for d in divs])
+    # distinct pair sets P_IS, in first-seen order
+    seen = dict.fromkeys(
+        frozenset([pair_index(i1, j) for j in iset] + [pair_index(i2, j) for j in sset])
+        for i2, _l, iset, sset in _iter_cw_descriptors(sup, inf_sets, losses, i1)
+    )
+    rows = np.zeros((len(seen), len(pairs)))
     for rix, idxs in enumerate(seen):
         for p in idxs:
             rows[rix, p] = divs[p]
     x, value = simplex_solve(c, rows, u)
-    q = [[0.0] * k for _ in range(k)]
-    for (i, j), rate in zip(iter_pairs(k), x):
-        q[i][j] = q[j][i] = float(rate)
-    return q, value
+    return x.tolist(), value
 
 
 def _best_plan(planner, div, sets):
-    """(winner, q, constant) of the winner whose plan has the smallest constant.
+    """(winner, rates, constant) of the winner whose plan has the smallest constant.
 
     ``sets`` is (superiors, inferiors, losses, winners), all 0-based, and
     ``planner`` is _ecw_plan or _cw_lp.  Ties go to the winner listed
@@ -287,9 +278,9 @@ def _best_plan(planner, div, sets):
     sup, inf_sets, losses, winners = sets
     best = None
     for i1 in winners:
-        q, constant = planner(div, sup, inf_sets, losses, i1)
+        rates, constant = planner(div, sup, inf_sets, losses, i1)
         if best is None or constant < best[2]:
-            best = i1, q, constant
+            best = i1, rates, constant
     return best
 
 
@@ -307,17 +298,21 @@ def _optimal(matrix: PreferenceMatrix, i1, variant: str, k_max=None) -> OptimalE
     else:
         planner, exactness = _ecw_plan, "ecw_closed_form"
     div = gap_divergence(matrix.values).tolist()
-    winner, q, constant = _best_plan(planner, div, sets)
+    winner, rates, constant = _best_plan(planner, div, sets)
     return OptimalExploration(
         winner=winner + 1,
-        rates=RateVector(matrix.k, [q[i][j] for i, j in iter_pairs(matrix.k)]),
+        rates=RateVector(matrix.k, rates),
         constant=float(constant),
         exactness=exactness,
     )
 
 
-def ecw_optimal(matrix: PreferenceMatrix, i1: int) -> OptimalExploration:
-    """Closed-form optimal rates of the relaxed program for winner i1 (1-based)."""
+def ecw_optimal(matrix: PreferenceMatrix, i1: int | None = None) -> OptimalExploration:
+    """Closed-form optimal rates of the relaxed program for winner i1 (1-based).
+
+    With no winner given, the winner with the smallest constant is used
+    (ties go to the smallest arm).
+    """
     return _optimal(matrix, i1, "ecw")
 
 
@@ -341,6 +336,7 @@ def lower_bound(matrix: PreferenceMatrix, k_max: int | None = None):
 
 def ecw_constant(matrix: PreferenceMatrix) -> float:
     """Leading regret constant of the relaxed program: min over winners."""
+    # not ecw_optimal: perfbench times both as solvers.closed_form, and its spans must not nest
     return _optimal(matrix, None, "ecw").constant
 
 
@@ -349,23 +345,22 @@ def ecw_constant(matrix: PreferenceMatrix) -> float:
 
 
 def _min_gap(matrix: PreferenceMatrix) -> float:
+    """Smallest |mu_ij - 1/2| off the diagonal; raises unless gaps are strict."""
     if matrix.k < 2:
         raise ValidationError("gap undefined for a single arm")
     vals = matrix.values
     off = ~np.eye(matrix.k, dtype=bool)
     delta = float(np.min(np.abs(vals[off] - 0.5)))
     if delta == 0.0:
-        raise TiedPreferenceError("bounds require strict gaps")
+        raise TiedPreferenceError("strict gaps required")
     return delta
 
 
 def ccb_bound(matrix: PreferenceMatrix) -> float:
     """Confidence-bound style constant 2K(C + L_min + 1) / Delta^2."""
-    _, _, losses = _copeland_sets(matrix.values, False)
-    low = min(losses)
-    c = sum(1 for li in losses if li == low)
     delta = _min_gap(matrix)
-    return 2.0 * matrix.k * (c + low + 1) / (delta * delta)
+    _, _, losses, winners = _copeland_sets(matrix.values)
+    return 2.0 * matrix.k * (len(winners) + losses[winners[0]] + 1) / (delta * delta)
 
 
 def ecw_explicit_bound(matrix: PreferenceMatrix, i1: int) -> float:
@@ -384,9 +379,9 @@ def ecw_explicit_bound(matrix: PreferenceMatrix, i1: int) -> float:
 
 def ecw_worstcase_bound(matrix: PreferenceMatrix) -> float:
     """Loss-profile-free upper bound (K / d) ((L_min + 3)/2 + L_min^2 / K)."""
-    _, _, losses = _copeland_sets(matrix.values, False)
     delta = _min_gap(matrix)
+    _, _, losses, winners = _copeland_sets(matrix.values)
     d = kl_bernoulli(0.5 + delta, 0.5)
-    low = min(losses)
+    low = losses[winners[0]]
     k = matrix.k
     return (k / d) * ((low + 3.0) / 2.0 + low * low / k)

@@ -44,7 +44,7 @@ def random_tied_winner_matrix(rng: np.random.Generator, k: int) -> PreferenceMat
 
     while True:
         m = random_matrix(rng, k)
-        _, _, losses = _copeland_sets(m.values, False)
+        _, _, losses, _ = _copeland_sets(m.values)
         low = min(losses)
         if sum(1 for li in losses if li == low) >= 2:
             return m

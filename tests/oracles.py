@@ -130,7 +130,7 @@ def run_per_round(matrix, config, horizon, seed):
     _check_preconditions(matrix, config, horizon)
     k = matrix.k
     vals = matrix.values.tolist()
-    _, _, losses = _copeland_sets(matrix.values, False)
+    _, _, losses, _ = _copeland_sets(matrix.values)
     rnum = _regret_nums(losses)
     rng = np.random.default_rng(seed)
     state = RmedState(k)

@@ -125,7 +125,7 @@ def test_criterion_3_relaxation_properties(capsys):
     for _ in range(200):
         k = int(rng.integers(3, 6))
         m = random_matrix(rng, k)
-        _, _, losses = _copeland_sets(m.values, False)
+        _, _, losses, _ = _copeland_sets(m.values)
         low = min(losses)
         for i1 in range(1, k + 1):
             if losses[i1 - 1] != low:
@@ -140,7 +140,7 @@ def test_criterion_3_relaxation_properties(capsys):
         random_tied_winner_matrix(rng, int(rng.integers(4, 6))) for _ in range(20)
     ]
     for m in tied:
-        _, _, losses = _copeland_sets(m.values, False)
+        _, _, losses, _ = _copeland_sets(m.values)
         low = min(losses)
         for i1 in range(1, m.k + 1):
             if losses[i1 - 1] != low:
@@ -167,7 +167,7 @@ def test_criterion_4_feasibility_cross_check(capsys):
         k = int(rng.integers(2, 7))
         m = random_matrix(rng, k)
         vals = m.values.tolist()
-        _, _, losses = _copeland_sets(m.values, False)
+        _, _, losses, _ = _copeland_sets(m.values)
         i1 = losses.index(min(losses)) + 1
         rv = random_rates(rng, k, scale=float(rng.uniform(5, 150)))
         weights = (rv.as_matrix() * gap_divergence(m.values)).tolist()

@@ -3,7 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from duelbench import builtin_dataset, load_matrix, matrix_to_csv
+from duelbench import (
+    DuelbenchError,
+    TiedPreferenceError,
+    TooLargeError,
+    TraceIOError,
+    ValidationError,
+    builtin_dataset,
+    load_matrix,
+    matrix_to_csv,
+)
 from duelbench.cli import _sig3, main
 
 
@@ -24,6 +33,9 @@ class TestSig3:
             (0.0201355, "0.0201"),
             (5032.0, "5030"),
             (0.0, "0"),
+            (9.996, "10.0"),
+            (0.09996, "0.100"),
+            (99.96, "100"),
         ],
     )
     def test_rounding(self, value, text):
@@ -174,6 +186,16 @@ class TestRun:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, capsys, tmp_path, jobs):
+        code, _, err = run_cli(
+            capsys, "run", "--dataset", "cyclic", "--algo", "ecw", "--T", "10",
+            "--runs", "2", "--jobs", jobs, "--output", str(tmp_path / "t.json"),
+        )
+        assert code == 2
+        assert "parallelism" in err
+        assert not (tmp_path / "t.json").exists()
+
 
 class TestDatasets:
     def test_listing(self, capsys):
@@ -211,6 +233,16 @@ class TestSubmatrix:
         assert code == 2
         assert "attempts" in err
 
+    def test_non_finite_min_gap(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys,
+            "submatrix", "--dataset", "cyclic", "--k", "3", "--min-gap", "nan",
+            "--output", str(tmp_path / "sub.csv"),
+        )
+        assert code == 2
+        assert "min_gap" in err
+        assert not (tmp_path / "sub.csv").exists()
+
 
 class TestParsing:
     def test_no_command(self, capsys):
@@ -229,3 +261,35 @@ class TestParsing:
             capsys, "bounds", "--dataset", "cyclic", "--input", str(path)
         )
         assert code == 2
+
+
+class TestErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bounds", "--dataset", "arxiv"),
+            ("bounds", "--dataset", "arxiv", "--json"),
+            ("run", "--dataset", "arxiv", "--algo", "cw", "--T", "10", "--runs", "1"),
+        ],
+    )
+    def test_tied_matrix_message(self, capsys, argv):
+        # the message speaks of the matrix, not of a library keyword
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: strict gaps required\n"
+
+    def test_exit_code_of_each_error_type(self):
+        assert DuelbenchError.exit_code == 2
+        assert ValidationError.exit_code == 2
+        assert TiedPreferenceError.exit_code == 2
+        assert TooLargeError.exit_code == 3
+        assert TraceIOError.exit_code == 4
+
+    def test_trace_write_failure_exits_4(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "run", "--dataset", "cyclic", "--algo", "ecw", "--T", "10",
+            "--runs", "1", "--output", str(tmp_path / "missing" / "t.json"),
+        )
+        assert code == 4
+        assert "cannot write" in err

@@ -50,6 +50,19 @@ class TestRateVector:
         with pytest.raises(ValidationError):
             RateVector.from_map(3, {"1-2": 1.0})
 
+    @pytest.mark.parametrize(
+        "mapping,key",
+        [
+            ({"2-1-3": 1.0}, "2-1-3"),
+            ({"a-b": 1.0}, "a-b"),
+            ({"21": 1.0}, "21"),
+            ({"2-1": "x"}, "2-1"),
+        ],
+    )
+    def test_malformed_map_entry(self, mapping, key):
+        with pytest.raises(ValidationError, match=repr(key)):
+            RateVector.from_map(3, mapping)
+
     def test_trivial_matches_divergence(self, cyclic):
         rv = RateVector.trivial(cyclic)
         assert rv.get(2, 1) == pytest.approx(1.0 / kl_bernoulli(0.6, 0.5))
@@ -114,7 +127,7 @@ class TestFamilies:
         for _ in range(12):
             k = int(rng.integers(2, 6))
             m = random_matrix(rng, k)
-            _, _, losses = _copeland_sets(m.values, False)
+            _, _, losses, _ = _copeland_sets(m.values)
             i1 = losses.index(min(losses)) + 1
             got = sorted(as_pair_sets(cw_constraints(m, i1)), key=sorted)
             vals = m.values.tolist()
@@ -127,7 +140,7 @@ class TestFamilies:
         for _ in range(15):
             k = int(rng.integers(2, 6))
             m = random_matrix(rng, k)
-            _, _, losses = _copeland_sets(m.values, False)
+            _, _, losses, _ = _copeland_sets(m.values)
             i1 = losses.index(min(losses)) + 1
             for d in cw_constraints(m, i1).descriptors():
                 assert d.pairs
@@ -143,7 +156,7 @@ class TestCheckFeasible:
         ]
         for m in matrices:
             rv = RateVector.trivial(m)
-            _, _, losses = _copeland_sets(m.values, False)
+            _, _, losses, _ = _copeland_sets(m.values)
             low = min(losses)
             for i1 in range(1, m.k + 1):
                 if losses[i1 - 1] != low:
@@ -174,7 +187,7 @@ class TestCheckFeasible:
         fam = cw_constraints(cyclic, 1)
         assert check_feasible(fam, rv, cyclic)
         weights = (rv.as_matrix() * gap_divergence(cyclic.values)).tolist()
-        sup, inf_sets, losses = _copeland_sets(cyclic.values, False)
+        sup, inf_sets, losses, _ = _copeland_sets(cyclic.values)
         assert min_lhs_cw(sup, inf_sets, losses, 0, weights) == pytest.approx(1.0)
         shrunk = RateVector(4, rv.values * 0.99)
         assert not check_feasible(fam, shrunk, cyclic)
@@ -195,7 +208,7 @@ class TestCheckFeasible:
             k = int(rng.integers(2, 7))
             m = random_matrix(rng, k)
             vals = m.values.tolist()
-            _, _, losses = _copeland_sets(m.values, False)
+            _, _, losses, _ = _copeland_sets(m.values)
             i1 = losses.index(min(losses)) + 1
             rv = random_rates(rng, k, scale=float(rng.uniform(5, 120)))
             weights = (rv.as_matrix() * gap_divergence(m.values)).tolist()
@@ -210,7 +223,7 @@ class TestCheckFeasible:
             k = int(rng.integers(2, 7))
             m = random_matrix(rng, k)
             vals = m.values.tolist()
-            sup, inf_sets, losses = _copeland_sets(m.values, False)
+            sup, inf_sets, losses, _ = _copeland_sets(m.values)
             i1 = losses.index(min(losses))
             rv = random_rates(rng, k)
             weights = (rv.as_matrix() * gap_divergence(m.values)).tolist()
@@ -234,7 +247,7 @@ class TestCheckFeasible:
         for _ in range(20):
             k = int(rng.integers(3, 6))
             m = random_matrix(rng, k)
-            _, _, losses = _copeland_sets(m.values, False)
+            _, _, losses, _ = _copeland_sets(m.values)
             i1 = losses.index(min(losses)) + 1
             base = ecw_optimal(m, i1).rates
             bumped = RateVector(k, base.values + rng.uniform(0, 3, base.values.shape))

@@ -24,6 +24,7 @@ from duelbench import (
     regret_table,
     sample_submatrix,
 )
+from duelbench.core import _copeland_sets
 from duelbench.errors import DomainError
 from oracles import sign_sets
 
@@ -134,6 +135,33 @@ class TestCopeland:
             copeland_summary(m)
         s = copeland_summary(m, tie_tolerant=True)
         assert 1 in s.winners
+
+    def test_sets_count_ties_in_neither_and_list_winners(self):
+        m = builtin_dataset("arxiv")
+        sup, inf_, losses, winners = _copeland_sets(m.values)
+        for i in range(m.k):
+            for j in range(m.k):
+                tied = i != j and m.values[i, j] == 0.5
+                assert (j in sup[i]) == (m.values[i, j] < 0.5)
+                assert (j in inf_[i]) == (m.values[i, j] > 0.5)
+                if tied:
+                    assert j not in sup[i] and j not in inf_[i]
+        assert losses == [len(s) for s in sup]
+        assert winners == [i for i in range(m.k) if losses[i] == min(losses)]
+        s = copeland_summary(m, tie_tolerant=True)
+        assert s.winners == frozenset(i + 1 for i in winners)
+        assert s.winner_count == len(winners)
+
+    def test_mirror_rounding_to_half_is_a_tie(self):
+        # 1 - (1/2 - 2**-54) rounds to exactly 1/2, so the pair is tied
+        low = 0.5 - 2.0**-54
+        rows = [[0.5, 1.0 - low], [low, 0.5]]
+        with pytest.raises(TiedPreferenceError):
+            PreferenceMatrix(rows)
+        m = PreferenceMatrix(rows, allow_ties=True)
+        assert m.has_ties
+        with pytest.raises(TiedPreferenceError):
+            copeland_summary(m)
 
 
 class TestRegret:
@@ -288,3 +316,8 @@ class TestSampleSubmatrix:
             sample_submatrix(cyclic, 9, 0.0, np.random.default_rng(0))
         with pytest.raises(ValidationError):
             sample_submatrix(cyclic, 2, -0.1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("min_gap", [math.nan, math.inf])
+    def test_non_finite_min_gap(self, cyclic, min_gap):
+        with pytest.raises(ValidationError, match="min_gap"):
+            sample_submatrix(cyclic, 3, min_gap, np.random.default_rng(0))

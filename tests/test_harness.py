@@ -88,7 +88,7 @@ class TestSimulate:
     def test_regret_ledger_matches_counts_exactly(self, cyclic):
         cfg = AlgorithmConfig()
         grid, row, state = _run_single(cyclic, cfg, 2500, 17)
-        _, _, losses = _copeland_sets(cyclic.values, False)
+        _, _, losses, _ = _copeland_sets(cyclic.values)
         rnum = _regret_nums(losses)
         acc = sum(
             rnum[i][j] * state.counts[i][j] for i in range(4) for j in range(i + 1)
@@ -108,7 +108,7 @@ class TestSimulate:
         from duelbench import regret_table
         from duelbench.core import _copeland_sets
 
-        _, _, losses = _copeland_sets(multisol.values, False)
+        _, _, losses, _ = _copeland_sets(multisol.values)
         table = regret_table(losses)
         off = ~np.eye(5, dtype=bool)
         uniform_rate = float(table[off].mean())
@@ -170,6 +170,13 @@ class TestBatch:
     def test_validation(self, cyclic):
         with pytest.raises(ValidationError):
             simulate_batch(cyclic, AlgorithmConfig(), 100, runs=0, master_seed=0)
+
+    @pytest.mark.parametrize("parallelism", [0, -3])
+    def test_parallelism_below_one(self, cyclic, parallelism):
+        with pytest.raises(ValidationError, match="parallelism"):
+            simulate_batch(
+                cyclic, AlgorithmConfig(), 100, runs=2, master_seed=0, parallelism=parallelism
+            )
 
 
 class TestPersistence:

@@ -22,6 +22,7 @@ from duelbench import (
     ecw_explicit_bound,
     ecw_optimal,
     ecw_worstcase_bound,
+    gap_divergence,
     kl_bernoulli,
     lower_bound,
     lp_cw_optimal,
@@ -165,7 +166,7 @@ class TestEcwOptimal:
             random_matrix(rng, int(rng.integers(2, 6))) for _ in range(10)
         ]
         for m in matrices:
-            _, _, losses = _copeland_sets(m.values, False)
+            _, _, losses, _ = _copeland_sets(m.values)
             i1 = losses.index(min(losses)) + 1
             opt = ecw_optimal(m, i1)
             assert check_feasible(ecw_constraints(m, i1), opt.rates, m)
@@ -194,7 +195,7 @@ class TestEcwOptimal:
         found = 0
         for _ in range(40):
             m = random_matrix(rng, int(rng.integers(3, 6)))
-            _, inf_sets, losses = _copeland_sets(m.values, False)
+            _, inf_sets, losses, _ = _copeland_sets(m.values)
             if min(losses) != 0:
                 continue
             found += 1
@@ -242,7 +243,7 @@ class TestLpCwOptimal:
             random_matrix(rng, int(rng.integers(2, 6))) for _ in range(8)
         ]
         for m in matrices:
-            _, _, losses = _copeland_sets(m.values, False)
+            _, _, losses, _ = _copeland_sets(m.values)
             i1 = losses.index(min(losses)) + 1
             opt = lp_cw_optimal(m, i1)
             assert check_feasible(cw_constraints(m, i1), opt.rates, m)
@@ -308,7 +309,7 @@ class TestAggregates:
         for _ in range(40):
             k = int(rng.integers(3, 6))
             m = random_matrix(rng, k)
-            _, _, losses = _copeland_sets(m.values, False)
+            _, _, losses, _ = _copeland_sets(m.values)
             low = min(losses)
             for i1 in range(1, k + 1):
                 if losses[i1 - 1] != low:
@@ -321,7 +322,7 @@ class TestAggregates:
         rng = np.random.default_rng(46)
         for _ in range(5):
             m = random_tied_winner_matrix(rng, int(rng.integers(4, 6)))
-            _, _, losses = _copeland_sets(m.values, False)
+            _, _, losses, _ = _copeland_sets(m.values)
             low = min(losses)
             for i1 in range(1, m.k + 1):
                 if losses[i1 - 1] != low:
@@ -335,7 +336,7 @@ class TestAggregates:
         rng = np.random.default_rng(47)
         for _ in range(5):
             m = random_tied_winner_matrix(rng, int(rng.integers(4, 6)))
-            _, _, losses = _copeland_sets(m.values, False)
+            _, _, losses, _ = _copeland_sets(m.values)
             winners = [i + 1 for i, li in enumerate(losses) if li == min(losses)]
             for variant, solve in (("ecw", ecw_optimal), ("cw", lp_cw_optimal)):
                 per_winner = [solve(m, i1) for i1 in winners]
@@ -345,6 +346,36 @@ class TestAggregates:
                 assert best.to_json_dict() == first.to_json_dict()
             assert lower_bound(m) == (low, first.winner)
             assert ecw_constant(m) == min(ecw_optimal(m, i1).constant for i1 in winners)
+
+    def test_ecw_optimal_without_winner_is_best(self):
+        rng = np.random.default_rng(53)
+        for _ in range(5):
+            m = random_tied_winner_matrix(rng, int(rng.integers(4, 6)))
+            assert ecw_optimal(m).to_json_dict() == _optimal(m, None, "ecw").to_json_dict()
+            assert ecw_optimal(m).constant == ecw_constant(m)
+
+    def test_planners_return_one_rate_per_pair(self):
+        from duelbench.solvers import _cw_lp, _ecw_plan
+
+        rng = np.random.default_rng(59)
+        for _ in range(5):
+            m = random_matrix(rng, int(rng.integers(3, 6)))
+            sup, inf_sets, losses, winners = _copeland_sets(m.values)
+            div = gap_divergence(m.values).tolist()
+            for planner, solve in ((_ecw_plan, ecw_optimal), (_cw_lp, lp_cw_optimal)):
+                for i1 in winners:
+                    rates, constant = planner(div, sup, inf_sets, losses, i1)
+                    assert len(rates) == m.k * (m.k - 1) // 2
+                    opt = solve(m, i1 + 1)
+                    assert rates == opt.rates.values.tolist()
+                    assert constant == opt.constant
+
+    def test_single_arm(self):
+        m = PreferenceMatrix([[0.5]])
+        for opt in (ecw_optimal(m), lp_cw_optimal(m, 1)):
+            assert opt.winner == 1
+            assert opt.constant == 0.0
+            assert opt.rates.values.shape == (0,)
 
 
 class TestClosedFormBounds:
@@ -368,7 +399,7 @@ class TestClosedFormBounds:
         for _ in range(40):
             k = int(rng.integers(2, 7))
             m = random_matrix(rng, k)
-            _, _, losses = _copeland_sets(m.values, False)
+            _, _, losses, _ = _copeland_sets(m.values)
             low = min(losses)
             winners = [i + 1 for i in range(k) if losses[i] == low]
             best_tilde, best_w = math.inf, winners[0]
@@ -391,6 +422,7 @@ class TestClosedFormBounds:
 def test_internal_lp_handles_tied_estimates():
     # empirical matrices can carry exact ties; tied pairs get a zero box
     # and never enter constraint rows
+    from duelbench.constraints import pair_index
     from duelbench.solvers import _cw_lp
 
     m = PreferenceMatrix(
@@ -398,10 +430,10 @@ def test_internal_lp_handles_tied_estimates():
     )
     from duelbench.core import _copeland_sets, gap_divergence
 
-    sup, inf_sets, losses = _copeland_sets(m.values, True)
+    sup, inf_sets, losses, _ = _copeland_sets(m.values)
     div = gap_divergence(m.values).tolist()
     q, constant = _cw_lp(div, sup, inf_sets, losses, 0)
-    assert q[0][1] == 0.0  # tied pair is not plannable
+    assert q[pair_index(1, 0)] == 0.0  # tied pair is not plannable
     assert constant >= 0.0
     assert math.isfinite(constant)
 
