@@ -17,7 +17,6 @@ from .bandit import (
     update_and_plan,
 )
 from .constraints import (
-    ConstraintDescriptor,
     ConstraintFamily,
     RateVector,
     check_feasible,

@@ -29,7 +29,7 @@ import numpy as np
 from .constraints import FEASIBILITY_TOL, iter_pairs, min_lhs_cw, min_lhs_ecw
 from .core import _copeland_sets, gap_divergence
 from .errors import InternalInconsistencyError, ValidationError
-from .solvers import _best_plan, _cw_lp, _ecw_plan, check_lp_size
+from .solvers import _best_plan, _cw_lp, _ecw_plan, check_gate, check_lp_size
 
 DEFAULT_ALPHA = 3.0
 DEFAULT_BETA = 0.01
@@ -53,6 +53,8 @@ class AlgorithmConfig:
             raise ValidationError(f"alpha must be positive and finite, got {self.alpha!r}")
         if not (self.beta >= 0 and isfinite(self.beta)):
             raise ValidationError(f"beta must be nonnegative and finite, got {self.beta!r}")
+        if self.k_max is not None:
+            check_gate(self.k_max)
 
 
 def check_size(config: AlgorithmConfig, k: int) -> None:

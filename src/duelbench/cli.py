@@ -13,8 +13,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import core, harness, solvers
 from .bandit import DEFAULT_ALPHA, DEFAULT_BETA, AlgorithmConfig
 from .errors import DuelbenchError
@@ -139,8 +137,7 @@ def cmd_datasets(args) -> int:
 
 def cmd_submatrix(args) -> int:
     matrix, label = _load(args)
-    rng = np.random.default_rng(args.seed)
-    sub = core.sample_submatrix(matrix, args.k, args.min_gap, rng)
+    sub = core.sample_submatrix(matrix, args.k, args.min_gap, args.seed)
     path = args.output or f"{label}_sub{args.k}_s{args.seed}.csv"
     core.save_matrix(sub, path)
     print(f"submatrix written: {path}")

@@ -119,49 +119,13 @@ class RateVector:
 
 
 @dataclass(frozen=True)
-class ConstraintDescriptor:
-    """One quantified constraint: indices are 1-based, sets sorted tuples."""
-
-    i1: int
-    i2: int
-    l: int
-    i_set: tuple
-    s_set: tuple
-
-    @property
-    def pairs(self) -> tuple:
-        """P_IS as canonical (hi, lo) 1-based pairs."""
-        out = {tuple(sorted((self.i1, j), reverse=True)) for j in self.i_set}
-        out |= {tuple(sorted((self.i2, j), reverse=True)) for j in self.s_set}
-        return tuple(sorted(out))
-
-
-@dataclass(frozen=True)
 class ConstraintFamily:
     """Constraint set for candidate winner ``i1`` (kind "cw" or "ecw")."""
 
     kind: str
     i1: int
     k: int
-    pins: tuple
     _sets: tuple = field(repr=False)
-
-    def descriptors(self):
-        """Lazily yield every non-vacuous descriptor."""
-        sup, inf_sets, losses = self._sets
-        i1 = self.i1 - 1
-        if self.kind == "cw":
-            gen = _iter_cw_descriptors(sup, inf_sets, losses, i1)
-        else:
-            gen = _iter_ecw_descriptors(sup, losses, i1)
-        for i2, l, iset, sset in gen:
-            yield ConstraintDescriptor(
-                i1=self.i1,
-                i2=i2 + 1,
-                l=l,
-                i_set=tuple(j + 1 for j in iset),
-                s_set=tuple(j + 1 for j in sset),
-            )
 
 
 def _iter_cw_descriptors(sup, inf_sets, losses, i1):
@@ -190,26 +154,6 @@ def _iter_cw_descriptors(sup, inf_sets, losses, i1):
                     yield i2, l, iset, sset
 
 
-def _iter_ecw_descriptors(sup, losses, i1):
-    """0-based descriptor stream for the relaxed family (subset constraints only).
-
-    The l slot is reported as L_{i1} - 1, the slice of the full family
-    these constraints coincide with.
-    """
-    from itertools import combinations
-
-    k = len(losses)
-    for i2 in range(k):
-        if i2 == i1:
-            continue
-        need = losses[i2] - losses[i1] + 1
-        s_source = sorted(j for j in sup[i2] if j != i1)
-        if need > len(s_source):
-            continue
-        for sset in combinations(s_source, need):
-            yield i2, losses[i1] - 1, (), sset
-
-
 def _winner_sets(matrix: PreferenceMatrix, i1: int | None = None):
     """0-based (superiors, inferiors, losses, winners) of a strict-gap matrix.
 
@@ -235,15 +179,12 @@ def _winner_sets(matrix: PreferenceMatrix, i1: int | None = None):
 
 def cw_constraints(matrix: PreferenceMatrix, i1: int) -> ConstraintFamily:
     """Full divergence constraint family for candidate winner i1 (1-based)."""
-    sets = _winner_sets(matrix, i1)[:3]
-    return ConstraintFamily(kind="cw", i1=i1, k=matrix.k, pins=(), _sets=sets)
+    return ConstraintFamily(kind="cw", i1=i1, k=matrix.k, _sets=_winner_sets(matrix, i1)[:3])
 
 
 def ecw_constraints(matrix: PreferenceMatrix, i1: int) -> ConstraintFamily:
     """Relaxed family: equality pins on i1's pairs plus per-rival subset constraints."""
-    sets = _winner_sets(matrix, i1)[:3]
-    pins = tuple((i1, j + 1) for j in sorted(sets[1][i1 - 1]))
-    return ConstraintFamily(kind="ecw", i1=i1, k=matrix.k, pins=pins, _sets=sets)
+    return ConstraintFamily(kind="ecw", i1=i1, k=matrix.k, _sets=_winner_sets(matrix, i1)[:3])
 
 
 # ---------------------------------------------------------------------------

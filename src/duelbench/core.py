@@ -113,10 +113,7 @@ class PreferenceMatrix:
         ties = bool(tied.any())
         if ties and not allow_ties:
             i, j = next((a, b) for a, b in zip(*low) if tied[a, b] or tied[b, a])
-            raise TiedPreferenceError(
-                f"mu({i + 1},{j + 1}) = 1/2 but strict gaps were required "
-                "(load with allow_ties=True for tie-tolerant mode)"
-            )
+            raise TiedPreferenceError(f"strict gaps required: mu({i + 1},{j + 1}) = 1/2")
 
         vals.setflags(write=False)
         self._values = vals
@@ -411,6 +408,13 @@ def builtin_dataset(name: str) -> PreferenceMatrix:
 # submatrix sampling
 
 
+def _check_seed(seed: int) -> int:
+    """``seed`` as a generator seed; numpy rejects negative ones with a bare ValueError."""
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
+    return int(seed)
+
+
 def sample_submatrix(
     matrix: PreferenceMatrix,
     k: int,
@@ -425,7 +429,7 @@ def sample_submatrix(
     raises ExhaustedRejectionsError after ``max_attempts`` rejections.
     """
     if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
+        rng = np.random.default_rng(_check_seed(rng))
     if not 1 <= k <= matrix.k:
         raise ValidationError(f"submatrix size k={k} out of range for K={matrix.k}")
     if not (min_gap >= 0 and math.isfinite(min_gap)):

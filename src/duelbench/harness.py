@@ -27,7 +27,7 @@ from .bandit import (
     select_pair,
     update_and_plan,
 )
-from .core import PreferenceMatrix, _copeland_sets, _regret_nums, _write_atomic
+from .core import PreferenceMatrix, _check_seed, _copeland_sets, _regret_nums, _write_atomic
 from .errors import ParseError, TiedPreferenceError, TraceIOError, ValidationError
 
 
@@ -147,7 +147,7 @@ def simulate(
     label: str | None = None,
 ) -> RegretTrace:
     """Single run; bit-reproducible for a fixed seed and config."""
-    grid, row, _ = _run_single(matrix, config, horizon, run_seed)
+    grid, row, _ = _run_single(matrix, config, horizon, _check_seed(run_seed))
     return RegretTrace(
         checkpoints=grid,
         runs=(tuple(row),),

@@ -41,18 +41,26 @@ _K_MAX_ENV = "DUELBENCH_KMAX"
 DEFAULT_K_MAX = 8
 
 
+def check_gate(gate: int, name: str = "K_max") -> int:
+    """``gate`` if it is nonnegative (0 skips every exact LP), else ValidationError."""
+    if gate < 0:
+        raise ValidationError(f"{name} must be a nonnegative integer, got {gate}")
+    return gate
+
+
 def default_k_max() -> int:
     """Exact-LP size gate; override with the DUELBENCH_KMAX environment variable."""
     raw = os.environ.get(_K_MAX_ENV, str(DEFAULT_K_MAX))
     try:
-        return int(raw)
+        gate = int(raw)
     except ValueError:
         raise ValidationError(f"{_K_MAX_ENV} must be an integer, got {raw!r}") from None
+    return check_gate(gate, _K_MAX_ENV)
 
 
 def lp_gate(k_max: int | None = None) -> int:
     """The exact-LP size gate in force: ``k_max`` if given, else default_k_max()."""
-    return default_k_max() if k_max is None else k_max
+    return default_k_max() if k_max is None else check_gate(k_max)
 
 
 def check_lp_size(k: int, k_max: int | None = None) -> None:

@@ -54,11 +54,18 @@ class TestConfig:
         with pytest.raises(ValidationError):
             AlgorithmConfig(**{field: value})
 
+    @pytest.mark.parametrize("variant", ["cw", "ecw", "random"])
+    def test_negative_k_max_rejected(self, variant):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            AlgorithmConfig(variant=variant, k_max=-1)
+
     def test_size_gate(self):
         check_size(AlgorithmConfig(variant="ecw"), 16)
         with pytest.raises(TooLargeError):
             check_size(AlgorithmConfig(variant="cw"), 16)
         check_size(AlgorithmConfig(variant="cw", k_max=16), 16)
+        with pytest.raises(TooLargeError):
+            check_size(AlgorithmConfig(variant="cw", k_max=0), 2)  # 0 gates every LP
 
 
 class TestSelectPair:

@@ -12,6 +12,7 @@ from duelbench import (
     builtin_dataset,
     load_matrix,
     matrix_to_csv,
+    sample_submatrix,
 )
 from duelbench.cli import _sig3, main
 
@@ -180,6 +181,14 @@ class TestRun:
         assert "finite" in err
         assert not (tmp_path / "t.json").exists()
 
+    def test_negative_seed_still_accepted(self, capsys, tmp_path):
+        # run seeds are masked to 64 bits before they reach the generator
+        code, _, _ = run_cli(
+            capsys, "run", "--dataset", "cyclic", "--algo", "ecw", "--T", "10",
+            "--runs", "1", "--seed", "-1", "--output", str(tmp_path / "t.json"),
+        )
+        assert code == 0
+
     def test_tied_dataset_rejected(self, capsys):
         code, _, _ = run_cli(
             capsys, "run", "--dataset", "arxiv", "--algo", "ecw", "--T", "10", "--runs", "1"
@@ -233,6 +242,26 @@ class TestSubmatrix:
         assert code == 2
         assert "attempts" in err
 
+    def test_seed_matches_library(self, capsys, tmp_path):
+        path = tmp_path / "sub.csv"
+        code, _, _ = run_cli(
+            capsys, "submatrix", "--dataset", "sushi", "--k", "6", "--min-gap", "0.005",
+            "--seed", "9", "--output", str(path),
+        )
+        assert code == 0
+        want = sample_submatrix(builtin_dataset("sushi"), 6, 0.005, np.random.default_rng(9))
+        assert path.read_text() == matrix_to_csv(want)
+
+    def test_negative_seed(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "submatrix", "--dataset", "cyclic", "--k", "2", "--seed", "-1",
+            "--output", str(tmp_path / "sub.csv"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be nonnegative, got -1\n"
+        assert not (tmp_path / "sub.csv").exists()
+
     def test_non_finite_min_gap(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,
@@ -278,6 +307,40 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err == "error: strict gaps required\n"
+
+    @pytest.mark.parametrize("command", ["bounds", "run"])
+    def test_tied_input_message(self, capsys, tmp_path, command):
+        path = tmp_path / "tied.csv"
+        path.write_text("0.5,0.5\n0.5,0.5\n")
+        argv = ["--algo", "ecw", "--T", "10", "--runs", "1"] if command == "run" else []
+        code, out, err = run_cli(capsys, command, "--input", str(path), *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: strict gaps required: mu(2,1) = 1/2\n"
+
+    @pytest.mark.parametrize(
+        "env, argv",
+        [
+            (None, ("bounds", "--dataset", "cyclic", "--k-max", "-1")),
+            ("-5", ("bounds", "--dataset", "cyclic")),
+            (None, ("run", "--dataset", "cyclic", "--algo", "cw", "--T", "10", "--k-max", "-2")),
+            (None, ("run", "--dataset", "cyclic", "--algo", "ecw", "--T", "10", "--k-max", "-2")),
+        ],
+    )
+    def test_negative_gate_rejected(self, capsys, tmp_path, monkeypatch, env, argv):
+        monkeypatch.chdir(tmp_path)
+        if env is not None:
+            monkeypatch.setenv("DUELBENCH_KMAX", env)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "must be a nonnegative integer" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_gate_skips_the_lp(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--dataset", "cyclic", "--k-max", "0")
+        assert code == 0
+        assert "skipped (K > K_max=0)" in out
 
     def test_exit_code_of_each_error_type(self):
         assert DuelbenchError.exit_code == 2

@@ -17,13 +17,38 @@ from duelbench import (
     gap_divergence,
     kl_bernoulli,
 )
-from duelbench.constraints import min_lhs_cw, min_lhs_ecw, pair_count, pair_index
+from duelbench.constraints import (
+    _iter_cw_descriptors,
+    _winner_sets,
+    min_lhs_cw,
+    min_lhs_ecw,
+    pair_count,
+    pair_index,
+)
 from duelbench.core import _copeland_sets
 from oracles import cw_pair_sets, ecw_pair_sets, feasible_brute, min_lhs_brute
 
 
-def as_pair_sets(family):
-    return {frozenset(d.pairs) for d in family.descriptors()}
+def cw_descriptors(matrix, i1):
+    """1-based (i2, l, I, S) and P_IS of the full family, from ``_iter_cw_descriptors``."""
+    sup, inf_sets, losses, _ = _winner_sets(matrix, i1)
+    out = []
+    for i2, l, iset, sset in _iter_cw_descriptors(sup, inf_sets, losses, i1 - 1):
+        pairs = {tuple(sorted((i1, j + 1), reverse=True)) for j in iset}
+        pairs |= {tuple(sorted((i2 + 1, j + 1), reverse=True)) for j in sset}
+        desc = (i2 + 1, l, tuple(j + 1 for j in iset), tuple(j + 1 for j in sset))
+        out.append((desc, tuple(sorted(pairs))))
+    return out
+
+
+def ecw_family(matrix, i1):
+    """1-based pins (i1, j) and subset-constraint pair sets of the relaxed family."""
+    ecw_constraints(matrix, i1)  # range, tie and winner checks
+    pins, sets = ecw_pair_sets(matrix.values.tolist(), i1 - 1)
+    # the oracle's pins are (hi, lo) 0-based pairs that contain i1 - 1
+    pins = tuple((i1, (b if a == i1 - 1 else a) + 1) for a, b in pins)
+    sets = [frozenset((a + 1, b + 1) for a, b in ps) for ps in sets]
+    return pins, sets
 
 
 class TestRateVector:
@@ -75,41 +100,34 @@ class TestRateVector:
 
 class TestFamilies:
     def test_cyclic_cw_contains_expected_descriptors(self, cyclic):
-        fam = cw_constraints(cyclic, 1)
-        descs = {(d.i2, d.l, d.i_set, d.s_set) for d in fam.descriptors()}
+        descs = dict(cw_descriptors(cyclic, 1))
         assert (2, 0, (2,), (4,)) in descs
         assert (2, 1, (3, 4), (4,)) in descs
-        got = next(
-            d for d in fam.descriptors() if (d.i2, d.l, d.i_set) == (2, 0, (2,))
-        )
-        assert got.pairs == ((2, 1), (4, 2))
+        got = next(pairs for d, pairs in descs.items() if d[:3] == (2, 0, (2,)))
+        assert got == ((2, 1), (4, 2))
 
     def test_two_arm_single_descriptor(self, two_arm):
-        fam = cw_constraints(two_arm, 1)
-        descs = list(fam.descriptors())
-        assert len(descs) == 1
-        d = descs[0]
-        assert (d.i2, d.l, d.i_set, d.s_set) == (2, 0, (2,), ())
-        assert d.pairs == ((2, 1),)
+        descs = cw_descriptors(two_arm, 1)
+        assert descs == [((2, 0, (2,), ()), ((2, 1),))]
 
     def test_cyclic_ecw_pins_and_vacuous_families(self, cyclic):
-        fam = ecw_constraints(cyclic, 1)
-        assert fam.pins == ((1, 2), (1, 3), (1, 4))
-        assert list(fam.descriptors()) == []
+        pins, sets = ecw_family(cyclic, 1)
+        assert pins == ((1, 2), (1, 3), (1, 4))
+        assert sets == []
 
     def test_multisol_ecw_structure(self, multisol):
         # pins run over the arms the candidate beats; every subset family
         # except the one for rival 2 is vacuous
-        fam = ecw_constraints(multisol, 1)
-        assert fam.pins == ((1, 3), (1, 4), (1, 5))
-        descs = list(fam.descriptors())
-        assert len(descs) == 1
-        assert descs[0].i2 == 2 and descs[0].s_set == (3,)
+        pins, sets = ecw_family(multisol, 1)
+        assert pins == ((1, 3), (1, 4), (1, 5))
+        assert sets == [frozenset({(3, 2)})]
+        # arm 3 beats arm 2, so the pair is rival 2's S = (3,), not rival 3's S = (2,)
+        assert multisol.values[2][1] > 0.5
 
     def test_two_arm_ecw(self, two_arm):
-        fam = ecw_constraints(two_arm, 1)
-        assert fam.pins == ((1, 2),)
-        assert list(fam.descriptors()) == []
+        pins, sets = ecw_family(two_arm, 1)
+        assert pins == ((1, 2),)
+        assert sets == []
 
     def test_not_a_winner(self, cyclic):
         with pytest.raises(NotAWinnerError):
@@ -129,7 +147,7 @@ class TestFamilies:
             m = random_matrix(rng, k)
             _, _, losses, _ = _copeland_sets(m.values)
             i1 = losses.index(min(losses)) + 1
-            got = sorted(as_pair_sets(cw_constraints(m, i1)), key=sorted)
+            got = sorted({frozenset(pairs) for _, pairs in cw_descriptors(m, i1)}, key=sorted)
             vals = m.values.tolist()
             want = sorted(set(cw_pair_sets(vals, i1 - 1)), key=sorted)
             want = [frozenset((a + 1, b + 1) for a, b in ps) for ps in want]
@@ -142,10 +160,10 @@ class TestFamilies:
             m = random_matrix(rng, k)
             _, _, losses, _ = _copeland_sets(m.values)
             i1 = losses.index(min(losses)) + 1
-            for d in cw_constraints(m, i1).descriptors():
-                assert d.pairs
-                if not d.i_set:
-                    assert len(d.s_set) >= 1
+            for (_, _, i_set, s_set), pairs in cw_descriptors(m, i1):
+                assert pairs
+                if not i_set:
+                    assert len(s_set) >= 1
 
 
 class TestCheckFeasible:

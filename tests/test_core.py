@@ -244,6 +244,9 @@ class TestLoadMatrix:
     def test_strict_rejects_tie(self):
         with pytest.raises(TiedPreferenceError):
             load_matrix("0.5,0.5\n0.5,0.5")
+        with pytest.raises(TiedPreferenceError) as info:
+            load_matrix("0.5,0.6,0.7\n0.4,0.5,0.5\n0.3,0.5,0.5")
+        assert str(info.value) == "strict gaps required: mu(3,2) = 1/2"
         m = load_matrix("0.5,0.5\n0.5,0.5", allow_ties=True)
         assert m.has_ties and not m.strict_gaps
 
@@ -316,6 +319,13 @@ class TestSampleSubmatrix:
             sample_submatrix(cyclic, 9, 0.0, np.random.default_rng(0))
         with pytest.raises(ValidationError):
             sample_submatrix(cyclic, 2, -0.1, np.random.default_rng(0))
+
+    def test_int_seed(self, cyclic):
+        sushi = builtin_dataset("sushi")
+        want = sample_submatrix(sushi, 6, 0.005, np.random.default_rng(9))
+        assert sample_submatrix(sushi, 6, 0.005, 9) == want
+        with pytest.raises(ValidationError, match="seed"):
+            sample_submatrix(cyclic, 2, 0.0, -1)
 
     @pytest.mark.parametrize("min_gap", [math.nan, math.inf])
     def test_non_finite_min_gap(self, cyclic, min_gap):

@@ -85,6 +85,11 @@ class TestSimulate:
         with pytest.raises(TooLargeError):
             simulate(builtin_dataset("sushi"), AlgorithmConfig(variant="cw"), 10, run_seed=0)
 
+    def test_negative_seed_rejected(self, cyclic):
+        # numpy raises a bare ValueError for a negative seed
+        with pytest.raises(ValidationError, match="seed"):
+            simulate(cyclic, AlgorithmConfig(), 10, run_seed=-1)
+
     def test_regret_ledger_matches_counts_exactly(self, cyclic):
         cfg = AlgorithmConfig()
         grid, row, state = _run_single(cyclic, cfg, 2500, 17)

@@ -23,6 +23,7 @@ from duelbench.bandit import (
     advance_self_pairs,
 )
 from duelbench.constraints import FEASIBILITY_TOL
+from duelbench.core import _copeland_sets, _regret_nums
 from duelbench.harness import _run_single
 from conftest import random_matrix
 from oracles import run_per_round
@@ -43,12 +44,30 @@ def snapshot(state):
     )
 
 
+def assert_state_invariants(matrix, state, row):
+    """Tallies, estimates and the regret ledger agree at the end of a run."""
+    k = matrix.k
+    counts, wins, muhat = state.counts, state.wins, state.muhat
+    rnum = _regret_nums(_copeland_sets(matrix.values)[2])
+    for i in range(k):
+        for j in range(i):
+            assert counts[i][j] == counts[j][i] == wins[i][j] + wins[j][i]
+            want = wins[i][j] / counts[i][j] if counts[i][j] else 0.5
+            assert muhat[i][j] == want
+            assert muhat[j][i] == 1.0 - want
+    lower = [(i, j) for i in range(k) for j in range(i + 1)]
+    assert sum(counts[i][j] for i, j in lower) == state.t - 1
+    ledger = sum(rnum[i][j] * counts[i][j] for i, j in lower)
+    assert row[-1] == ledger / (2.0 * (k - 1))  # exact float identity
+
+
 def assert_same_run(matrix, config, horizon, seed):
     grid, row, state = _run_single(matrix, config, horizon, seed)
     ref_grid, ref_row, ref_state = run_per_round(matrix, config, horizon, seed)
     assert grid == ref_grid
     assert row == ref_row
     assert snapshot(state) == snapshot(ref_state)
+    assert_state_invariants(matrix, state, row)
     return state
 
 

@@ -30,7 +30,7 @@ from duelbench import (
     solve_subproblem,
 )
 from duelbench.core import _copeland_sets
-from duelbench.solvers import _optimal, default_k_max
+from duelbench.solvers import _optimal, default_k_max, lp_gate
 from oracles import subset_lp_rows, subset_solution_feasible
 
 
@@ -262,10 +262,14 @@ class TestLpCwOptimal:
     def test_k_max_override(self, cyclic, monkeypatch):
         with pytest.raises(TooLargeError):
             lp_cw_optimal(cyclic, 1, k_max=3)
+        with pytest.raises(TooLargeError):
+            lower_bound(cyclic, k_max=0)  # a gate of 0 skips every exact LP
         monkeypatch.setenv("DUELBENCH_KMAX", "3")
         assert default_k_max() == 3
         with pytest.raises(TooLargeError):
             lp_cw_optimal(cyclic, 1)
+        monkeypatch.setenv("DUELBENCH_KMAX", "0")
+        assert default_k_max() == 0
 
     def test_k_max_env_must_be_an_integer(self, cyclic, monkeypatch):
         monkeypatch.setenv("DUELBENCH_KMAX", "abc")
@@ -274,6 +278,17 @@ class TestLpCwOptimal:
         with pytest.raises(ValidationError, match="DUELBENCH_KMAX"):
             lower_bound(cyclic)
         assert lower_bound(cyclic, k_max=8) == lower_bound(cyclic, k_max=4)
+
+    def test_negative_gate_rejected(self, cyclic, monkeypatch):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            lp_gate(-1)
+        with pytest.raises(ValidationError, match="nonnegative"):
+            lower_bound(cyclic, k_max=-1)
+        monkeypatch.setenv("DUELBENCH_KMAX", "-5")
+        with pytest.raises(ValidationError, match="DUELBENCH_KMAX"):
+            default_k_max()
+        with pytest.raises(ValidationError, match="DUELBENCH_KMAX"):
+            lower_bound(cyclic)
 
     def test_ties_reported_before_size_gate(self):
         arxiv = builtin_dataset("arxiv")
