@@ -97,7 +97,7 @@ def cmd_run(args) -> int:
         variant=args.algo,
         alpha=args.alpha,
         beta=args.beta,
-        k_max=args.k_max,
+        k_max=solvers.lp_gate(args.k_max),
     )
     trace = harness.simulate_batch(
         matrix,

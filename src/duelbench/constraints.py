@@ -13,13 +13,23 @@ Two families are generated for a candidate winner i1:
   arm j that i1 beats, plus, for each rival i2, constraints over every
   (L_{i2} - L_{i1} + 1)-subset of the arms beating i2 (excluding i1).
 
-Descriptors whose required subset size exceeds the available set are
-vacuous and never generated.  Feasibility of a rate vector is decided
-without enumerating subsets: for each descriptor group the binding
-constraint takes the smallest weighted rates from each side, so a sort
-plus prefix sums suffices.  Pins are checked one-sidedly (>=): counts
-only ever grow, so over-exploration must never flip a state infeasible.
-Upper box bounds are likewise not part of the membership test.
+Both families decompose per rival.  Each rival i2 != i1 must be kept
+from overtaking i1, and its constraints draw i2's side from
+S = sup[i2] - {i1} (``_rivals``).  The relaxed family keeps the rivals
+whose ``need`` fits in S (``_ecw_rivals``); the full family also walks
+the loss levels l (``_cw_levels``).  A descriptor or rival whose
+required subset is larger than its set is vacuous and never generated.
+The descriptor stream, the feasibility budgets and the planners in
+``solvers`` all walk these same (i1, i2) groups.
+
+Feasibility of a rate vector is decided without enumerating subsets:
+within a group the binding constraint takes the smallest weighted rates
+from each side, so a sort plus prefix sums suffices.  Prefix sums
+accumulate left to right (``_prefix``), so a budget does not depend on
+how the interpreter's sum() rounds.  Pins are checked one-sidedly (>=):
+counts only ever grow, so over-exploration must never flip a state
+infeasible.  Upper box bounds are likewise not part of the membership
+test.
 """
 
 from __future__ import annotations
@@ -128,29 +138,43 @@ class ConstraintFamily:
     _sets: tuple = field(repr=False)
 
 
+def _rivals(sup, i1):
+    """(i2, S) per rival i2 != i1, ascending; S = sup[i2] - {i1}, in sup[i2]'s ascending order."""
+    for i2, beats_i2 in enumerate(sup):
+        if i2 != i1:
+            yield i2, [j for j in beats_i2 if j != i1]
+
+
+def _ecw_rivals(sup, losses, i1):
+    """(i2, S, need) per rival whose relaxed constraint (need = L_i2 - L_i1 + 1) fits in S."""
+    for i2, s in _rivals(sup, i1):
+        need = losses[i2] - losses[i1] + 1
+        if need <= len(s):
+            yield i2, s, need
+
+
+def _cw_levels(losses):
+    """Loss levels l of the full family: min loss - 1 (at least 0) to the second smallest loss."""
+    low = sorted(losses)[:2]  # a single arm has one loss and no rivals
+    return range(max(0, low[0] - 1), low[-1] + 1)
+
+
 def _iter_cw_descriptors(sup, inf_sets, losses, i1):
     """0-based descriptor stream of the full family."""
     from itertools import combinations
 
-    k = len(losses)
-    if k < 2:
-        return
-    ordered = sorted(losses)
-    l_low, l_high = max(0, ordered[0] - 1), ordered[1]
     h1 = sorted(inf_sets[i1])
-    for i2 in range(k):
-        if i2 == i1:
-            continue
-        s_source = sorted(j for j in sup[i2] if j != i1)
-        for l in range(l_low, l_high + 1):
+    levels = _cw_levels(losses)
+    for i2, s in _rivals(sup, i1):
+        for l in levels:
             a = l + 1 - losses[i1]
             if a < 0 or a > len(h1):
                 continue
             for iset in combinations(h1, a):
                 b = max(0, losses[i2] - l - (1 if i2 in iset else 0))
-                if b > len(s_source):
+                if b > len(s):
                     continue
-                for sset in combinations(s_source, b):
+                for sset in combinations(s, b):
                     yield i2, l, iset, sset
 
 
@@ -192,6 +216,7 @@ def ecw_constraints(matrix: PreferenceMatrix, i1: int) -> ConstraintFamily:
 
 
 def _prefix(sorted_vals):
+    """Prefix sums [0, v0, v0 + v1, ...], accumulated left to right."""
     out = [0.0]
     acc = 0.0
     for v in sorted_vals:
@@ -204,61 +229,27 @@ def min_lhs_cw(sup, inf_sets, losses, i1, weights) -> float:
     """Minimum constraint left side over the full family, +inf if empty.
 
     ``weights[i][j]`` must hold q_ij * d_KL(mu_ij, 1/2) (symmetric).  For
-    each (i2, l) the binding subset takes the smallest weights on each
-    side, split into the cases i2 in I and i2 not in I.
+    each rival i2 and level l the binding descriptor takes the smallest
+    weights of S and of H - {i2}, H being the arms i1 beats.
     """
-    k = len(losses)
-    if k < 2:
-        return inf
-    ordered = sorted(losses)
-    l_low, l_high = max(0, ordered[0] - 1), ordered[1]
-    h1 = inf_sets[i1]
     w_row = weights[i1]
-    h_sorted = sorted((w_row[j], j) for j in h1)
-    h_vals = [w for w, _ in h_sorted]
-    h_pos = {j: p for p, (_, j) in enumerate(h_sorted)}
-    pref_h = _prefix(h_vals)
-    n_h = len(h_vals)
+    h_sorted = sorted((w_row[j], j) for j in inf_sets[i1])
+    li1, levels = losses[i1], _cw_levels(losses)
     best = inf
-    li1 = losses[i1]
-    for i2 in range(k):
-        if i2 == i1:
-            continue
-        s_vals = sorted(weights[j][i2] for j in sup[i2] if j != i1)
-        pref_s = _prefix(s_vals)
-        n_s = len(s_vals)
-        in_h = i2 in h_pos
-        avail_h = n_h - 1 if in_h else n_h
-        li2 = losses[i2]
-        for l in range(l_low, l_high + 1):
-            a = l + 1 - li1
-            if a < 0:
-                continue
-            # case i2 not in I
-            if a <= avail_h:
-                b = li2 - l
-                if b < 0:
-                    b = 0
-                if b <= n_s:
-                    if in_h and h_pos[i2] < a:
-                        head = pref_h[a + 1] - h_vals[h_pos[i2]]
-                    else:
-                        head = pref_h[a]
-                    lhs = head + pref_s[b]
-                    if lhs < best:
-                        best = lhs
-            # case i2 in I
-            if in_h and a >= 1 and a - 1 <= avail_h:
-                b = li2 - l - 1
-                if b < 0:
-                    b = 0
-                if b <= n_s:
-                    m = a - 1
-                    if h_pos[i2] < m:
-                        head = pref_h[m + 1] - h_vals[h_pos[i2]]
-                    else:
-                        head = pref_h[m]
-                    lhs = w_row[i2] + head + pref_s[b]
+    for i2, s in _rivals(sup, i1):
+        h_rest = [w for w, j in h_sorted if j != i2]
+        pref_h, pref_s = _prefix(h_rest), _prefix(sorted(weights[j][i2] for j in s))
+        # (forced weight, flips saved on each side): i2 outside I, or inside
+        # it when i1 beats i2, which forces in the pair (i1, i2)
+        memberships = [(0.0, 0)]
+        if len(h_rest) < len(h_sorted):
+            memberships.append((w_row[i2], 1))
+        for forced, saved in memberships:
+            for l in levels:
+                a = l + 1 - li1 - saved
+                b = max(0, losses[i2] - l - saved)
+                if 0 <= a < len(pref_h) and b < len(pref_s):
+                    lhs = forced + pref_h[a] + pref_s[b]
                     if lhs < best:
                         best = lhs
     return best
@@ -266,22 +257,11 @@ def min_lhs_cw(sup, inf_sets, losses, i1, weights) -> float:
 
 def min_lhs_ecw(sup, inf_sets, losses, i1, weights) -> float:
     """Minimum left side over the relaxed family: pins and subset constraints."""
-    k = len(losses)
-    best = inf
-    for j in inf_sets[i1]:
-        w = weights[i1][j]
-        if w < best:
-            best = w
-    li1 = losses[i1]
-    for i2 in range(k):
-        if i2 == i1:
-            continue
-        need = losses[i2] - li1 + 1
-        s_vals = sorted(weights[j][i2] for j in sup[i2] if j != i1)
-        if need <= len(s_vals):
-            lhs = sum(s_vals[:need])
-            if lhs < best:
-                best = lhs
+    best = min((weights[i1][j] for j in inf_sets[i1]), default=inf)
+    for i2, s, need in _ecw_rivals(sup, losses, i1):
+        lhs = _prefix(sorted(weights[j][i2] for j in s))[need]
+        if lhs < best:
+            best = lhs
     return best
 
 

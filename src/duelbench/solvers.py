@@ -23,7 +23,10 @@ import numpy as np
 
 from .constraints import (
     RateVector,
+    _ecw_rivals,
     _iter_cw_descriptors,
+    _prefix,
+    _rivals,
     _winner_sets,
     iter_pairs,
     pair_count,
@@ -114,11 +117,7 @@ def _prefix_solution(costs, slack):
     y = [0.0] * n
     if slack >= n:
         return y, 0.0
-    acc = 0.0
-    prefix = [0.0]
-    for idx in order:
-        acc += costs[idx]
-        prefix.append(acc)
+    prefix = _prefix(costs[idx] for idx in order)
     best_h, best_obj = -1, math.inf
     for h in range(slack + 1, n + 1):
         obj = prefix[h] / (h - slack)
@@ -232,14 +231,7 @@ def _ecw_plan(div, sup, inf_sets, losses, i1):
         rate = 1.0 / div[i1][j]
         q[pair_index(i1, j)] = rate
         constant += (rnum[i1][j] / denom) * rate
-    li1 = losses[i1]
-    for i2 in range(k):
-        if i2 == i1:
-            continue
-        need = losses[i2] - li1 + 1
-        cand = [j for j in sup[i2] if j != i1]
-        if need > len(cand):
-            continue
+    for i2, cand, need in _ecw_rivals(sup, losses, i1):
         costs = [(rnum[j][i2] / denom) / div[j][i2] for j in cand]
         y, _ = _prefix_solution(costs, len(cand) - need)
         for j, yj in zip(cand, y):
@@ -373,14 +365,12 @@ def ccb_bound(matrix: PreferenceMatrix) -> float:
 
 def ecw_explicit_bound(matrix: PreferenceMatrix, i1: int) -> float:
     """Feasible-point upper bound on the relaxed constant for winner i1."""
-    losses = _winner_sets(matrix, i1)[2]
+    sup, _, losses, _ = _winner_sets(matrix, i1)
     delta = _min_gap(matrix)
     d = kl_bernoulli(0.5 + delta, 0.5)
     low = min(losses)
     total = 0.0
-    for i2 in range(matrix.k):
-        if i2 == i1 - 1:
-            continue
+    for i2, _ in _rivals(sup, i1 - 1):
         total += 1.0 + losses[i2] / (losses[i2] - low + 1.0)
     return total / d
 

@@ -35,3 +35,36 @@ def test_boundaries_listed():
 def test_boundary_names_a_callable(module, attr):
     target = importlib.import_module(f"duelbench.{module}")
     assert callable(getattr(target, attr, None)), f"duelbench.{module}.{attr}"
+
+
+LIVE = [
+    ("bandit", "min_lhs_ecw"),
+    ("bandit", "min_lhs_cw"),
+    ("bandit", "_ecw_plan"),
+    ("bandit", "_cw_lp"),
+    ("solvers", "_iter_cw_descriptors"),
+]
+
+
+def test_boundaries_are_called_through_module_globals(monkeypatch, cyclic):
+    # a caller that captured one of these names at import time would bypass
+    # the tracer's wrapper, and that layer's spans would read zero
+    assert set(LIVE) <= {(module, attr) for module, attr, _ in BOUNDARIES}
+    calls = dict.fromkeys(LIVE, 0)
+
+    def counting(key, original):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for module, attr in LIVE:
+        target = importlib.import_module(f"duelbench.{module}")
+        monkeypatch.setattr(target, attr, counting((module, attr), getattr(target, attr)))
+    from duelbench import AlgorithmConfig, lower_bound, simulate
+
+    for variant in ("cw", "ecw"):
+        simulate(cyclic, AlgorithmConfig(variant=variant), 200, 0)
+    lower_bound(cyclic)
+    assert all(calls.values()), calls

@@ -337,6 +337,42 @@ class TestErrors:
         assert "must be a nonnegative integer" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("algo", ["cw", "ecw", "random"])
+    @pytest.mark.parametrize(
+        "env, message",
+        [
+            ("abc", "DUELBENCH_KMAX must be an integer, got 'abc'"),
+            ("-5", "DUELBENCH_KMAX must be a nonnegative integer, got -5"),
+        ],
+    )
+    def test_bad_env_gate_rejected_by_every_algo(
+        self, capsys, tmp_path, monkeypatch, algo, env, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("DUELBENCH_KMAX", env)
+        code, out, err = run_cli(
+            capsys, "run", "--dataset", "cyclic", "--algo", algo, "--T", "10", "--runs", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bounds", "--dataset", "cyclic", "--k-max", "3"),
+            ("run", "--dataset", "cyclic", "--algo", "ecw", "--T", "10", "--runs", "1",
+             "--k-max", "3"),
+        ],
+    )
+    def test_gate_flag_overrides_bad_env(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("DUELBENCH_KMAX", "abc")
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert err == ""
+
     def test_zero_gate_skips_the_lp(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--dataset", "cyclic", "--k-max", "0")
         assert code == 0

@@ -30,8 +30,15 @@ from oracles import cw_pair_sets, ecw_pair_sets, feasible_brute, min_lhs_brute
 
 
 def cw_descriptors(matrix, i1):
-    """1-based (i2, l, I, S) and P_IS of the full family, from ``_iter_cw_descriptors``."""
-    sup, inf_sets, losses, _ = _winner_sets(matrix, i1)
+    """1-based (i2, l, I, S) and P_IS of the full family, from ``_iter_cw_descriptors``.
+
+    A matrix with exact 1/2 entries uses its tie-tolerant sets, as the
+    bandit does on its empirical matrix.
+    """
+    if matrix.has_ties:
+        sup, inf_sets, losses, _ = _copeland_sets(matrix.values)
+    else:
+        sup, inf_sets, losses, _ = _winner_sets(matrix, i1)
     out = []
     for i2, l, iset, sset in _iter_cw_descriptors(sup, inf_sets, losses, i1 - 1):
         pairs = {tuple(sorted((i1, j + 1), reverse=True)) for j in iset}
@@ -49,6 +56,22 @@ def ecw_family(matrix, i1):
     pins = tuple((i1, (b if a == i1 - 1 else a) + 1) for a, b in pins)
     sets = [frozenset((a + 1, b + 1) for a, b in ps) for ps in sets]
     return pins, sets
+
+
+def assert_min_lhs_match_brute(vals, sup, inf_sets, losses, i1, weights):
+    """Both sorted budgets equal the brute-force minimum over the enumerated family."""
+    fast = min_lhs_cw(sup, inf_sets, losses, i1, weights)
+    brute = min_lhs_brute(cw_pair_sets(vals, i1), weights)
+    assert fast == pytest.approx(brute, rel=1e-12) or (math.isinf(fast) and math.isinf(brute))
+    pins, sets = ecw_pair_sets(vals, i1)
+    brute_ecw = min(
+        min_lhs_brute(sets, weights),
+        min((weights[i][j] for i, j in pins), default=math.inf),
+    )
+    fast_ecw = min_lhs_ecw(sup, inf_sets, losses, i1, weights)
+    assert fast_ecw == pytest.approx(brute_ecw, rel=1e-12) or (
+        math.isinf(fast_ecw) and math.isinf(brute_ecw)
+    )
 
 
 class TestRateVector:
@@ -142,16 +165,18 @@ class TestFamilies:
 
     def test_descriptor_stream_matches_oracle(self):
         rng = np.random.default_rng(21)
-        for _ in range(12):
-            k = int(rng.integers(2, 6))
-            m = random_matrix(rng, k)
-            _, _, losses, _ = _copeland_sets(m.values)
-            i1 = losses.index(min(losses)) + 1
-            got = sorted({frozenset(pairs) for _, pairs in cw_descriptors(m, i1)}, key=sorted)
-            vals = m.values.tolist()
-            want = sorted(set(cw_pair_sets(vals, i1 - 1)), key=sorted)
-            want = [frozenset((a + 1, b + 1) for a, b in ps) for ps in want]
-            assert sorted(got, key=sorted) == sorted(want, key=sorted)
+        matrices = [random_matrix(rng, int(rng.integers(2, 6))) for _ in range(12)]
+        # exact 1/2 entries, as in the bandit's empirical matrices, K=1..6
+        rng = np.random.default_rng(23)
+        matrices += [random_matrix(rng, k, tie_rate=0.3) for k in range(1, 7) for _ in range(4)]
+        for m in matrices:
+            for i0 in _copeland_sets(m.values)[3]:
+                got = {frozenset(pairs) for _, pairs in cw_descriptors(m, i0 + 1)}
+                want = {
+                    frozenset((a + 1, b + 1) for a, b in ps)
+                    for ps in cw_pair_sets(m.values.tolist(), i0)
+                }
+                assert got == want
 
     def test_pair_sets_never_empty(self):
         rng = np.random.default_rng(22)
@@ -237,28 +262,61 @@ class TestCheckFeasible:
 
     def test_min_lhs_values_match_brute_force(self):
         rng = np.random.default_rng(32)
+        cases = []
         for _ in range(25):
             k = int(rng.integers(2, 7))
             m = random_matrix(rng, k)
+            cases.append((m, random_rates(rng, k), [_copeland_sets(m.values)[3][0]]))
+        # exact 1/2 entries, as in the bandit's empirical matrices, K=1..6, every winner
+        rng = np.random.default_rng(34)
+        for k in range(1, 7):
+            for _ in range(6):
+                m = random_matrix(rng, k, tie_rate=0.3)
+                cases.append((m, random_rates(rng, k), _copeland_sets(m.values)[3]))
+        for m, rv, winners in cases:
             vals = m.values.tolist()
             sup, inf_sets, losses, _ = _copeland_sets(m.values)
-            i1 = losses.index(min(losses))
-            rv = random_rates(rng, k)
             weights = (rv.as_matrix() * gap_divergence(m.values)).tolist()
-            fast = min_lhs_cw(sup, inf_sets, losses, i1, weights)
-            brute = min_lhs_brute(cw_pair_sets(vals, i1), weights)
-            assert fast == pytest.approx(brute, rel=1e-12) or (
-                math.isinf(fast) and math.isinf(brute)
-            )
-            pins, sets = ecw_pair_sets(vals, i1)
-            brute_ecw = min(
-                min_lhs_brute(sets, weights),
-                min((weights[i][j] for i, j in pins), default=math.inf),
-            )
-            fast_ecw = min_lhs_ecw(sup, inf_sets, losses, i1, weights)
-            assert fast_ecw == pytest.approx(brute_ecw, rel=1e-12) or (
-                math.isinf(fast_ecw) and math.isinf(brute_ecw)
-            )
+            for i1 in winners:
+                assert_min_lhs_match_brute(vals, sup, inf_sets, losses, i1, weights)
+
+    def test_forced_rival_among_smallest_weights(self):
+        # arm 1 beats arms 2-4, which beat each other in a cycle; rival 2 has
+        # the smallest weight in H = {2, 3, 4}, and the binding descriptor is
+        # (i2=2, l=1, I={2, 3}, S={}): its pair (1, 2) is forced in, and I
+        # adds the smallest of H - {2}
+        vals = [
+            [0.5, 0.7, 0.7, 0.7],
+            [0.3, 0.5, 0.7, 0.3],
+            [0.3, 0.3, 0.5, 0.7],
+            [0.3, 0.7, 0.3, 0.5],
+        ]
+        weights = [
+            [0.0, 0.1, 0.7, 1.0],
+            [0.1, 0.0, 5.0, 5.0],
+            [0.7, 5.0, 0.0, 5.0],
+            [1.0, 5.0, 5.0, 0.0],
+        ]
+        sup, inf_sets, losses, _ = _copeland_sets(np.array(vals))
+        assert inf_sets[0] == [1, 2, 3]
+        assert min_lhs_cw(sup, inf_sets, losses, 0, weights) == 0.1 + 0.7
+        assert_min_lhs_match_brute(vals, sup, inf_sets, losses, 0, weights)
+        descs = dict(cw_descriptors(PreferenceMatrix(vals), 1))
+        assert descs[(2, 1, (2, 3), ())] == ((2, 1), (3, 1))
+
+    def test_relaxed_budget_sums_left_to_right(self):
+        # arm 1 beats arms 3-5 and loses to arm 2, which loses to arms 3-5:
+        # rival 2's relaxed constraint needs all of S = {3, 4, 5}
+        vals = np.full((5, 5), 0.5)
+        for winner, loser in [(0, 2), (0, 3), (0, 4), (1, 0), (2, 1), (3, 1), (4, 1),
+                              (2, 3), (3, 4), (4, 2)]:
+            vals[winner, loser], vals[loser, winner] = 0.8, 0.2
+        sup, inf_sets, losses, _ = _copeland_sets(vals)
+        weights = [[10.0] * 5 for _ in range(5)]
+        for j, w in zip((2, 3, 4), (0.1, 0.2, 0.3)):
+            weights[j][1] = weights[1][j] = w
+        # not sum(): from Python 3.12 on it compensates and returns 0.6
+        assert min_lhs_ecw(sup, inf_sets, losses, 0, weights) == (0.1 + 0.2) + 0.3
 
     def test_ecw_feasible_implies_cw_feasible(self):
         rng = np.random.default_rng(33)

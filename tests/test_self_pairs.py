@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from duelbench import AlgorithmConfig, RmedState, builtin_dataset, select_pair, update_and_plan
 from duelbench.bandit import (
@@ -45,7 +46,7 @@ def snapshot(state):
 
 
 def assert_state_invariants(matrix, state, row):
-    """Tallies, estimates and the regret ledger agree at the end of a run."""
+    """Tallies, estimates and the regret ledger agree between any two rounds."""
     k = matrix.k
     counts, wins, muhat = state.counts, state.wins, state.muhat
     rnum = _regret_nums(_copeland_sets(matrix.values)[2])
@@ -314,3 +315,56 @@ class TestAdvance:
         state.lc = [(winners[-1], winners[-1])]
         state.lr = set(state.lc)
         assert advance_self_pairs(state, cfg, 5000) == 0
+
+
+class SteppedRun(RuleBasedStateMachine):
+    """One run driven round by round and stretch by stretch, checked after every step.
+
+    Each step draws the pair ``select_pair`` chose, as the harness does.
+    Besides the tallies and the regret ledger, the loop bookkeeping must
+    hold: L_C sorted without duplicates, the pairs still to draw in this
+    pass exactly ``lc[cursor:]``, and nothing queued for the next pass
+    among them.
+    """
+
+    @initialize(
+        k=st.integers(2, 4),
+        matrix_seed=st.integers(0, 2**32 - 1),
+        run_seed=st.integers(0, 2**32 - 1),
+        variant=st.sampled_from(["ecw", "cw"]),
+    )
+    def start(self, k, matrix_seed, run_seed, variant):
+        self.matrix = random_matrix(np.random.default_rng(matrix_seed), k)
+        self.vals = self.matrix.values.tolist()
+        self.rnum = _regret_nums(_copeland_sets(self.matrix.values)[2])
+        self.config = AlgorithmConfig(variant=variant)
+        self.rng = np.random.default_rng(run_seed)
+        self.state = RmedState(k)
+        self.acc = 0
+
+    @rule(rounds=st.integers(1, 300))
+    def step_rounds(self, rounds):
+        for _ in range(rounds):
+            l, m = select_pair(self.state, self.config)
+            outcome = None if l == m else int(self.rng.random() < self.vals[l - 1][m - 1])
+            update_and_plan(self.state, self.config, (l, m), outcome)
+            self.acc += self.rnum[l - 1][m - 1]
+
+    @rule(span=st.integers(1, 10**6))
+    def advance(self, span):
+        n = advance_self_pairs(self.state, self.config, self.state.t + span - 1)
+        if n:
+            h = self.state.ihat - 1
+            self.acc += n * self.rnum[h][h]
+
+    @invariant()
+    def consistent(self):
+        state = self.state
+        assert_state_invariants(self.matrix, state, [self.acc / (2.0 * (self.matrix.k - 1))])
+        assert state.lc == sorted(set(state.lc))
+        assert state.lr == set(state.lc[state.cursor :])
+        assert not state.ln_next & state.lr
+
+
+TestSteppedRun = SteppedRun.TestCase
+TestSteppedRun.settings = settings(max_examples=30, stateful_step_count=25, deadline=None)
