@@ -112,10 +112,9 @@ class RmedState:
     # -- refreshed lazily after any feedback ------------------------------
 
     def _refresh(self):
-        vals = np.array(self.muhat)
         # estimates can sit exactly at 1/2; such pairs count in neither set
-        self._sets = _copeland_sets(vals)
-        div = gap_divergence(vals)
+        self._sets = _copeland_sets(self.muhat)
+        div = gap_divergence(self.muhat)
         self._div = div.tolist()
         self._weights = (np.array(self.counts, dtype=float) * div).tolist()
         self._budgets = {}
@@ -188,7 +187,7 @@ def _confirmed_winner(state: RmedState, config: AlgorithmConfig, logt: float):
     return None
 
 
-def _plan_step(state: RmedState, config: AlgorithmConfig, pair):
+def _plan_step(state: RmedState, config: AlgorithmConfig):
     t = state.t
     logt = log(t) if t >= 2 else log(2.0)
     if state._dirty:
@@ -213,7 +212,7 @@ def _plan_step(state: RmedState, config: AlgorithmConfig, pair):
     state.ihat = ihat + 1
 
     # loop bookkeeping: drop the drawn pair, merge newly required pairs
-    state.lr.discard(pair)
+    state.lr.discard(state.lc[state.cursor])
     for p in candidates:
         if p not in state.lr:
             state.ln_next.add(p)
@@ -228,9 +227,11 @@ def _plan_step(state: RmedState, config: AlgorithmConfig, pair):
 def update_and_plan(state: RmedState, config: AlgorithmConfig, pair, outcome) -> RmedState:
     """Consume one draw: update tallies, then re-plan if this was a loop round.
 
-    ``pair`` is 1-based and must be the pair select_pair chose (or any
-    pair for the random variant); ``outcome`` is 1 if the first arm won,
-    0 otherwise, and ignored for self-pairs.
+    ``pair`` is 1-based, in either order; on a loop round it must be the
+    pair select_pair chose (any pair for the random variant).  ``outcome``
+    is 1 if the first arm of ``pair`` won, 0 otherwise, and ignored for
+    self-pairs.  Invalid input raises ValidationError before any tally
+    changes.
     """
     l, m = pair[0] - 1, pair[1] - 1
     if not (0 <= l < state.k and 0 <= m < state.k):
@@ -238,11 +239,16 @@ def update_and_plan(state: RmedState, config: AlgorithmConfig, pair, outcome) ->
     # phase is decided on the pre-update state, exactly as select_pair saw it;
     # its verdict is reused only if it was recorded for this round
     loop_round = config.variant != "random" and _guard_verdict(state, config) is None
+    if loop_round and {l, m} != set(state.lc[state.cursor]):
+        i, j = state.lc[state.cursor]
+        raise ValidationError(f"loop round draws ({i + 1},{j + 1}), got {pair}")
     state._guard = None
 
     if l != m:
         if outcome not in (0, 1, True, False):
             raise ValidationError(f"binary outcome required for pair {pair}, got {outcome!r}")
+        if l < m:  # canonical orientation l > m: muhat[l][m] is the exact ratio
+            l, m, outcome = m, l, not outcome
         state.counts[l][m] += 1
         state.counts[m][l] += 1
         if outcome:
@@ -257,7 +263,7 @@ def update_and_plan(state: RmedState, config: AlgorithmConfig, pair, outcome) ->
         state.counts[l][l] += 1
 
     if loop_round:
-        _plan_step(state, config, (l, m))
+        _plan_step(state, config)
     state.t += 1
     return state
 

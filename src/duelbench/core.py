@@ -175,16 +175,16 @@ class CopelandSummary:
         return self.ordered_losses[0] == 0
 
 
-def _copeland_sets(values: np.ndarray):
+def _copeland_sets(rows):
     """0-based (superiors, inferiors, losses, ascending winners) lists.
 
-    A tied pair counts in neither set; callers needing strict gaps check ``has_ties``.
+    ``rows`` holds the K x K estimates mu_ij, row i for arm i, as lists or
+    an array.  Arm j beats arm i where mu_ij < 1/2.  An entry at exactly
+    1/2 (the diagonal, a tied pair) counts in neither set; callers needing
+    strict gaps check ``has_ties``.
     """
-    k = values.shape[0]
-    beats_me = values < 0.5  # j beats i where mu_ij < 1/2
-    i_beat = values > 0.5
-    sup = [np.flatnonzero(beats_me[i]).tolist() for i in range(k)]
-    inf_ = [np.flatnonzero(i_beat[i]).tolist() for i in range(k)]
+    sup = [[j for j, v in enumerate(row) if v < 0.5] for row in rows]
+    inf_ = [[j for j, v in enumerate(row) if v > 0.5] for row in rows]
     losses = [len(s) for s in sup]
     low = min(losses)
     winners = [i for i, li in enumerate(losses) if li == low]

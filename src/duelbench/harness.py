@@ -2,11 +2,12 @@
 
 Each run owns an independent RNG stream derived from (master seed, run
 index), so a batch aggregates to the same bytes no matter how many
-worker processes execute it.  Regret is accumulated in integer units of
-1/(2(K-1)) and divided only at checkpoints, which keeps the ledger
-exactly equal to sum_pairs r(i,j) * N_ij(T).  Stretches of identical
-exploit rounds are applied in one step (``advance_self_pairs``); they
-draw no random numbers, so the bytes equal those of stepping each round.
+worker processes execute it.  The bandit's draw counts N_ij are the
+run's only tally: at each checkpoint the regret is read from them as the
+exact integer sum_{i>=j} (L_i + L_j - 2 L_min) N_ij, divided once by
+2(K-1).  Stretches of identical exploit rounds are applied in one step
+(``advance_self_pairs``); they draw no random numbers, so the bytes
+equal those of stepping each round.
 """
 
 from __future__ import annotations
@@ -52,13 +53,29 @@ class RegretTrace:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "RegretTrace":
+        if not isinstance(payload["meta"], dict):
+            raise TypeError("meta must be an object")
         return cls(
-            checkpoints=tuple(int(c) for c in payload["checkpoints"]),
-            runs=tuple(tuple(float(v) for v in row) for row in payload["runs"]),
-            mean=tuple(float(v) for v in payload["mean"]),
-            std=tuple(float(v) for v in payload["std"]),
+            checkpoints=tuple(_checkpoint(c) for c in payload["checkpoints"]),
+            runs=tuple(tuple(_number(v) for v in row) for row in payload["runs"]),
+            mean=tuple(_number(v) for v in payload["mean"]),
+            std=tuple(_number(v) for v in payload["std"]),
             meta=dict(payload["meta"]),
         )
+
+
+def _number(value) -> float:
+    """A JSON number as a float; strings and booleans are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _checkpoint(value) -> int:
+    """An integral JSON number; a float horizon writes its checkpoints as 100000.0."""
+    if not _number(value).is_integer():
+        raise ValueError(f"checkpoint must be an integer, got {value!r}")
+    return int(value)
 
 
 def checkpoint_grid(horizon: int):
@@ -93,50 +110,62 @@ def _check_preconditions(matrix: PreferenceMatrix, config: AlgorithmConfig, hori
 
 
 def _run_single(matrix: PreferenceMatrix, config: AlgorithmConfig, horizon: int, seed: int):
-    """One run; returns (checkpoints, regret row, terminal state)."""
-    _check_preconditions(matrix, config, horizon)
+    """One run on checked inputs; returns (checkpoints, regret row, terminal state)."""
     k = matrix.k
     vals = matrix.values.tolist()
-    _, _, losses, _ = _copeland_sets(matrix.values)
-    rnum = _regret_nums(losses)
+    rnum = _regret_nums(_copeland_sets(vals)[2])
+    lower = [(i, j) for i in range(k) for j in range(i + 1)]
     denom = 2.0 * (k - 1)
     rng = np.random.default_rng(seed)
     state = RmedState(k)
     grid = checkpoint_grid(horizon)
     row = []
-    acc = 0
     is_random = config.variant == "random"
     for last in grid:
         while state.t <= last:
             if is_random:
                 l, m = random_baseline_select(rng, k)
+            elif advance_self_pairs(state, config, last):
+                continue
             else:
-                n = advance_self_pairs(state, config, last)
-                if n:
-                    h = state.ihat - 1
-                    acc += n * rnum[h][h]
-                    continue
                 l, m = select_pair(state, config)
-            if l == m:
-                outcome = None
-            else:
-                outcome = 1 if rng.random() < vals[l - 1][m - 1] else 0
+            outcome = None if l == m else (1 if rng.random() < vals[l - 1][m - 1] else 0)
             update_and_plan(state, config, (l, m), outcome)
-            acc += rnum[l - 1][m - 1]
-        row.append(acc / denom)
+        row.append(sum(rnum[i][j] * state.counts[i][j] for i, j in lower) / denom)
     return grid, row, state
 
 
-def _meta(label, config, horizon, runs, master_seed):
-    return {
-        "dataset": label or "",
-        "variant": config.variant,
-        "alpha": config.alpha,
-        "beta": config.beta,
-        "horizon": horizon,
-        "runs": runs,
-        "master_seed": master_seed,
-    }
+def _batch_worker(args):
+    return _run_single(*args)[1]
+
+
+def _simulate_seeds(matrix, config, horizon, seeds, parallelism, label, master_seed) -> RegretTrace:
+    """Check the inputs, make one run per seed and aggregate the rows into a trace."""
+    if parallelism < 1:
+        raise ValidationError(f"parallelism must be at least 1, got {parallelism}")
+    _check_preconditions(matrix, config, horizon)
+    jobs = [(matrix, config, horizon, s) for s in seeds]
+    if parallelism > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=min(parallelism, len(jobs))) as pool:
+            rows = list(pool.map(_batch_worker, jobs))
+    else:
+        rows = [_batch_worker(job) for job in jobs]
+    arr = np.asarray(rows)
+    return RegretTrace(
+        checkpoints=checkpoint_grid(horizon),
+        runs=tuple(tuple(r) for r in rows),
+        mean=tuple(float(v) for v in arr.mean(axis=0)),
+        std=tuple(float(v) for v in arr.std(axis=0)),
+        meta={
+            "dataset": label or "",
+            "variant": config.variant,
+            "alpha": config.alpha,
+            "beta": config.beta,
+            "horizon": horizon,
+            "runs": len(rows),
+            "master_seed": master_seed,
+        },
+    )
 
 
 def simulate(
@@ -147,20 +176,7 @@ def simulate(
     label: str | None = None,
 ) -> RegretTrace:
     """Single run; bit-reproducible for a fixed seed and config."""
-    grid, row, _ = _run_single(matrix, config, horizon, _check_seed(run_seed))
-    return RegretTrace(
-        checkpoints=grid,
-        runs=(tuple(row),),
-        mean=tuple(row),
-        std=tuple(0.0 for _ in row),
-        meta=_meta(label, config, horizon, 1, run_seed),
-    )
-
-
-def _batch_worker(args):
-    matrix, config, horizon, seed = args
-    _, row, _ = _run_single(matrix, config, horizon, seed)
-    return row
+    return _simulate_seeds(matrix, config, horizon, [_check_seed(run_seed)], 1, label, run_seed)
 
 
 def simulate_batch(
@@ -175,24 +191,8 @@ def simulate_batch(
     """Aggregate over independent runs; output is identical for any parallelism."""
     if runs < 1:
         raise ValidationError(f"need at least one run, got {runs}")
-    if parallelism < 1:
-        raise ValidationError(f"parallelism must be at least 1, got {parallelism}")
-    _check_preconditions(matrix, config, horizon)
     seeds = [split_seed(master_seed, r) for r in range(runs)]
-    jobs = [(matrix, config, horizon, s) for s in seeds]
-    if parallelism > 1 and runs > 1:
-        with ProcessPoolExecutor(max_workers=min(parallelism, runs)) as pool:
-            rows = list(pool.map(_batch_worker, jobs))
-    else:
-        rows = [_batch_worker(job) for job in jobs]
-    arr = np.asarray(rows)
-    return RegretTrace(
-        checkpoints=checkpoint_grid(horizon),
-        runs=tuple(tuple(r) for r in rows),
-        mean=tuple(float(v) for v in arr.mean(axis=0)),
-        std=tuple(float(v) for v in arr.std(axis=0)),
-        meta=_meta(label, config, horizon, runs, master_seed),
-    )
+    return _simulate_seeds(matrix, config, horizon, seeds, parallelism, label, master_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +263,7 @@ def read_trace(source, format: str = "json") -> RegretTrace:
         raise TraceIOError(f"cannot read trace from {source}: {exc}") from exc
     try:
         trace = RegretTrace.from_json_dict(json.loads(text))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ParseError(f"malformed trace ({type(exc).__name__}: {exc})") from None
     _validate_trace(trace)
     return trace

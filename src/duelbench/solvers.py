@@ -98,14 +98,6 @@ class OptimalExploration:
     constant: float
     exactness: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "winner": self.winner,
-            "constant": self.constant,
-            "exactness": self.exactness,
-            "rates": self.rates.to_map(),
-        }
-
 
 def _prefix_solution(costs, slack):
     """Best prefix-block solution: (values list, objective).

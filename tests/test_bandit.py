@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -236,6 +237,61 @@ class TestUpdateBookkeeping:
                     # exact complement
                     assert state.muhat[i][j] == state.wins[i][j] / state.counts[i][j]
                     assert state.muhat[j][i] == 1.0 - state.muhat[i][j]
+
+
+def first_loop_draw(matrix, cfg, seed=0):
+    """Step a run until select_pair picks a distinct pair on a loop round."""
+    state = RmedState(matrix.k)
+    rng = np.random.default_rng(seed)
+    while True:
+        pair = select_pair(state, cfg)
+        if state._guard[1] is None and pair[0] != pair[1]:
+            return state, pair
+        out = None if pair[0] == pair[1] else int(rng.random() < matrix.mu(*pair))
+        update_and_plan(state, cfg, pair, out)
+
+
+def snapshot(state):
+    return copy.deepcopy(
+        (
+            state.t,
+            state.counts,
+            state.wins,
+            state.muhat,
+            state.ihat,
+            state.lc,
+            state.cursor,
+            state.lr,
+            state.ln_next,
+        )
+    )
+
+
+class TestLoopRoundPair:
+    """On a loop round only the pair select_pair chose is accepted, in either order."""
+
+    @pytest.mark.parametrize("variant", ["ecw", "cw"])
+    def test_either_order_is_the_same_draw(self, cyclic, variant):
+        cfg = AlgorithmConfig(variant=variant)
+        state, (l, m) = first_loop_draw(cyclic, cfg)
+        assert len(state.lc) - state.cursor > 1  # the pass goes on after this draw
+        flipped = copy.deepcopy(state)
+        update_and_plan(state, cfg, (l, m), 0)
+        update_and_plan(flipped, cfg, (m, l), 1)
+        assert snapshot(flipped) == snapshot(state)
+        assert flipped.lr == set(flipped.lc[flipped.cursor :])
+
+    def test_other_pair_is_rejected_before_any_tally(self, cyclic):
+        cfg = AlgorithmConfig()
+        state, (l, m) = first_loop_draw(cyclic, cfg)
+        other = next((i, j) for i in range(2, 5) for j in range(1, i) if {i, j} != {l, m})
+        before = snapshot(state)
+        for pair, out in ((other, 1), ((1, 1), None)):
+            with pytest.raises(ValidationError, match="loop round"):
+                update_and_plan(state, cfg, pair, out)
+            assert snapshot(state) == before
+        update_and_plan(state, cfg, (l, m), 1)
+        assert state.t == before[0] + 1
 
 
 class TestRandomBaseline:

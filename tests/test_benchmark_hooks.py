@@ -38,6 +38,10 @@ def test_boundary_names_a_callable(module, attr):
 
 
 LIVE = [
+    ("harness", "select_pair"),
+    ("harness", "update_and_plan"),
+    ("harness", "_copeland_sets"),
+    ("harness", "_regret_nums"),
     ("bandit", "min_lhs_ecw"),
     ("bandit", "min_lhs_cw"),
     ("bandit", "_ecw_plan"),

@@ -136,9 +136,19 @@ class TestCopeland:
         s = copeland_summary(m, tie_tolerant=True)
         assert 1 in s.winners
 
-    def test_sets_count_ties_in_neither_and_list_winners(self):
-        m = builtin_dataset("arxiv")
-        sup, inf_, losses, winners = _copeland_sets(m.values)
+    @pytest.mark.parametrize(
+        "m",
+        [builtin_dataset("arxiv")]
+        + [
+            random_matrix(np.random.default_rng(seed), k, tie_rate=0.4)
+            for seed, k in ((1, 4), (2, 5), (3, 6))
+        ],
+        ids=["arxiv", "random-k4", "random-k5", "random-k6"],
+    )
+    @pytest.mark.parametrize("as_rows", [np.asarray, np.ndarray.tolist], ids=["array", "lists"])
+    def test_sets_count_ties_in_neither_and_list_winners(self, m, as_rows):
+        assert m.has_ties
+        sup, inf_, losses, winners = _copeland_sets(as_rows(m.values))
         for i in range(m.k):
             for j in range(m.k):
                 tied = i != j and m.values[i, j] == 0.5

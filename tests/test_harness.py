@@ -24,8 +24,8 @@ from duelbench import (
     trace_filename,
     write_trace,
 )
-from duelbench.core import _copeland_sets, _regret_nums
 from duelbench.harness import CSV_HEADER, RegretTrace, _run_single
+from oracles import run_per_round
 
 
 class TestCheckpointGrid:
@@ -91,14 +91,15 @@ class TestSimulate:
             simulate(cyclic, AlgorithmConfig(), 10, run_seed=-1)
 
     def test_regret_ledger_matches_counts_exactly(self, cyclic):
-        cfg = AlgorithmConfig()
-        grid, row, state = _run_single(cyclic, cfg, 2500, 17)
-        _, _, losses, _ = _copeland_sets(cyclic.values)
-        rnum = _regret_nums(losses)
-        acc = sum(
-            rnum[i][j] * state.counts[i][j] for i in range(4) for j in range(i + 1)
-        )
-        assert row[-1] == acc / 6.0  # exact float identity
+        # the harness reads regret from the counts at each checkpoint; the
+        # reference loop adds each round's regret to its own ledger
+        for variant in ("ecw", "random"):
+            cfg = AlgorithmConfig(variant=variant)
+            grid, row, state = _run_single(cyclic, cfg, 2500, 17)
+            ref_grid, ref_row, ref_state = run_per_round(cyclic, cfg, 2500, 17)
+            assert grid == ref_grid
+            assert row == ref_row  # exact float identity at every checkpoint
+            assert state.counts == ref_state.counts
 
     def test_min_count_guard_growth(self, cyclic):
         cfg = AlgorithmConfig(alpha=3.0, beta=0.01)
@@ -184,6 +185,19 @@ class TestBatch:
             )
 
 
+def _trace_text(**fields):
+    """A valid two-checkpoint JSON trace with ``fields`` replaced."""
+    payload = {
+        "meta": {},
+        "checkpoints": [1, 2],
+        "mean": [0.0, 1.0],
+        "std": [0.0, 0.0],
+        "runs": [[0.0, 1.0]],
+    }
+    payload.update(fields)
+    return json.dumps(payload)
+
+
 class TestPersistence:
     def test_json_round_trip(self, cyclic, tmp_path):
         trace = simulate_batch(cyclic, AlgorithmConfig(), 300, runs=3, master_seed=1, label="cyclic")
@@ -233,8 +247,26 @@ class TestPersistence:
             '{"checkpoints": [1, 2',  # not JSON
             '{"runs": [[0.0]], "mean": [0.0], "std": [0.0], "meta": {}}',  # no checkpoints
             "[1, 2, 3]",  # not an object
+            _trace_text(checkpoints=[1, True]),
+            _trace_text(checkpoints=[1, "2"]),
+            _trace_text(checkpoints=[1, 2.7]),
+            _trace_text(runs=[[0.0, "1e3"]]),
+            _trace_text(mean=[0.0, "1e3"]),
+            _trace_text(std=[0.0, None]),
+            _trace_text(meta=[]),
         ],
-        ids=["bad-json", "missing-field", "top-level-list"],
+        ids=[
+            "bad-json",
+            "missing-field",
+            "top-level-list",
+            "bool-checkpoint",
+            "string-checkpoint",
+            "fractional-checkpoint",
+            "string-run-entry",
+            "string-mean-entry",
+            "null-std-entry",
+            "meta-not-an-object",
+        ],
     )
     def test_malformed_trace_is_a_parse_error(self, text, tmp_path):
         with pytest.raises(ParseError):
@@ -243,6 +275,13 @@ class TestPersistence:
         path.write_text(text)
         with pytest.raises(ParseError):
             read_trace(path)
+
+    def test_integral_float_checkpoints_are_read(self):
+        # a float horizon writes its checkpoint as 100000.0
+        trace = read_trace(io.StringIO(_trace_text(checkpoints=[1, 100000.0])))
+        assert trace.checkpoints == (1, 100000)
+        assert all(type(c) is int for c in trace.checkpoints)
+        assert read_trace(io.StringIO(_trace_text())).runs == ((0.0, 1.0),)
 
     def test_undecodable_trace_is_a_parse_error(self, tmp_path):
         path = tmp_path / "t.json"
