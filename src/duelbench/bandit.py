@@ -11,23 +11,41 @@ pair of the current list L_C, then re-plan).  Small-t conventions: the
 near-tie threshold is +inf through round 16, sqrt(ln t) uses ln t
 directly (zero at t=1), and normalized counts divide by ln(max(t, 2)).
 
-Planning work is cached between rounds that change nothing but t
-(self-pair draws), and the guard scan runs once per round.  Once the
-loop has converged to exploiting a candidate, the rounds until the next
-event are identical self-pair draws; ``advance_self_pairs`` applies such
-a stretch in one step, so the converged regime costs O(K^2) per event,
-not per round.
+A draw of a distinct pair updates that pair's entries in flat per-pair
+lists of N_ij and |muhat_ij - 1/2|, which the guard scan reads, and
+marks the pair as drawn.  The next plan step rewrites only the drawn
+pairs' divergences and weights and drops only the cached pieces of the
+budgets and plans that read them (``constraints.GroupCache``, one piece
+per winner and rival), so an exploring round costs work on the drawn
+pair's rows and columns rather than a K x K rebuild.  Every float equals
+the one a full rebuild gives.  A drawn estimate that changes side of 1/2
+changes the Copeland sets, and then everything is rebuilt.  Rounds that
+change nothing but t (self-pair draws) reuse the plan, and the guard
+scan runs once per round.
+
+Once the loop has converged to exploiting a candidate, the rounds until
+the next event are identical self-pair draws; ``advance_self_pairs``
+applies such a stretch in one step, so the converged regime costs
+O(K^2) per event, not per round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import ceil, exp, inf, isfinite, log, sqrt
 
 import numpy as np
 
-from .constraints import FEASIBILITY_TOL, iter_pairs, min_lhs_cw, min_lhs_ecw
-from .core import _copeland_sets, gap_divergence
+from .constraints import (
+    FEASIBILITY_TOL,
+    GroupCache,
+    iter_pairs,
+    min_lhs_cw,
+    min_lhs_ecw,
+    pair_index,
+)
+from .core import _copeland_sets, _regret_nums, gap_divergence
 from .errors import InternalInconsistencyError, ValidationError
 from .solvers import _best_plan, _cw_lp, _ecw_plan, check_gate, check_lp_size
 
@@ -78,10 +96,15 @@ class RmedState:
         "cursor",
         "ihat",
         "_pairs",
+        "_n",
+        "_gap",
+        "_touched",
         "_dirty",
         "_sets",
+        "_rnum",
         "_weights",
         "_div",
+        "_groups",
         "_budgets",
         "_plan",
         "_guard",
@@ -101,49 +124,103 @@ class RmedState:
         self.ln_next = set()
         self.cursor = 0
         self.ihat = None  # 1-based once a candidate has been identified
-        self._dirty = True
+        # N_ij and |muhat_ij - 1/2| per pair, in _pairs order, kept by every draw
+        self._n = [0] * len(self._pairs)
+        self._gap = [0.0] * len(self._pairs)
+        self._touched = set()  # indices of the pairs drawn since the last _update
+        self._dirty = True  # rebuild everything from counts and muhat
         self._sets = None
+        self._rnum = None
         self._weights = None
         self._div = None
+        self._groups = None
         self._budgets = {}
         self._plan = None
         self._guard = None  # (round, _first_guarded verdict) from select_pair
 
-    # -- refreshed lazily after any feedback ------------------------------
+    # -- planning caches ----------------------------------------------------
 
     def _refresh(self):
+        """Rebuild every cache from counts and muhat."""
+        counts, muhat = self.counts, self.muhat
         # estimates can sit exactly at 1/2; such pairs count in neither set
-        self._sets = _copeland_sets(self.muhat)
-        div = gap_divergence(self.muhat)
+        self._sets = _copeland_sets(muhat)
+        self._rnum = _regret_nums(self._sets[2])
+        div = gap_divergence(muhat)
         self._div = div.tolist()
-        self._weights = (np.array(self.counts, dtype=float) * div).tolist()
+        self._weights = (np.array(counts, dtype=float) * div).tolist()
+        self._n = [counts[i][j] for i, j in self._pairs]
+        self._gap = [abs(muhat[i][j] - 0.5) for i, j in self._pairs]
+        self._touched = set()
+        self._groups = GroupCache()
         self._budgets = {}
         self._plan = None
         self._dirty = False
+
+    def _update(self):
+        """Bring the caches up to date with the pairs drawn since the last update.
+
+        A drawn estimate that has changed side of 1/2 changes the Copeland
+        sets, and everything is rebuilt.  Otherwise only the drawn pairs'
+        divergences and weights are rewritten, and only the cached pieces
+        that read them are dropped.
+        """
+        if self._dirty:
+            self._refresh()
+        if not self._touched:
+            return
+        muhat = self.muhat
+        sup, inf_sets = self._sets[:2]
+        drawn = [self._pairs[p] for p in self._touched]
+        for i, j in drawn:
+            mu = muhat[i][j]
+            if (mu < 0.5) != (j in sup[i]) or (mu > 0.5) != (j in inf_sets[i]):
+                self._refresh()
+                return
+        # through numpy, whose log can differ from math.log in the last bit
+        div = gap_divergence([muhat[i][j] for i, j in drawn] + [muhat[j][i] for i, j in drawn])
+        div = div.tolist()
+        for (i, j), dij, dji in zip(drawn, div, div[len(drawn) :]):
+            n = self.counts[i][j]
+            self._div[i][j], self._div[j][i] = dij, dji
+            self._weights[i][j], self._weights[j][i] = n * dij, n * dji
+            self._groups.drop(i)
+            self._groups.drop(j)
+        self._touched.clear()
+        self._budgets = {}
+        self._plan = None
 
     def _budget(self, i1: int, variant: str) -> float:
         cached = self._budgets.get(i1)
         if cached is None:
             sup, inf_sets, losses, _ = self._sets
-            if variant == "cw":
-                cached = min_lhs_cw(sup, inf_sets, losses, i1, self._weights)
-            else:
-                cached = min_lhs_ecw(sup, inf_sets, losses, i1, self._weights)
+            min_lhs = min_lhs_cw if variant == "cw" else min_lhs_ecw
+            cached = min_lhs(sup, inf_sets, losses, i1, self._weights, self._groups)
             self._budgets[i1] = cached
         return cached
+
+    def _planned(self, variant: str):
+        """(winner, rates, indices of the nonzero rates) of the argmin-winner plan."""
+        if self._plan is None:
+            planner = _cw_lp if variant == "cw" else _ecw_plan
+            ihat, rates, _ = _best_plan(planner, self._div, self._sets, self._rnum, self._groups)
+            self._plan = ihat, rates, list(compress(range(len(rates)), rates))
+        return self._plan
 
 
 def _first_guarded(state: RmedState, config: AlgorithmConfig):
     """First lexicographic pair failing a guard, or None."""
+    if state._dirty:
+        state._refresh()
     t = state.t
     need = config.alpha * sqrt(log(t)) if t > 1 else 0.0
     near = inf if t <= BOOTSTRAP_ROUNDS else config.beta / log(log(t))
-    counts = state.counts
-    muhat = state.muhat
-    for i, j in state._pairs:
-        if counts[i][j] < need or abs(muhat[i][j] - 0.5) < near:
-            return i, j
-    return None
+    n, gap = state._n, state._gap
+    if min(n) >= need and min(gap) >= near:  # C-level passes; scan only on a failure
+        return None
+    for p, count in enumerate(n):
+        if count < need or gap[p] < near:
+            return state._pairs[p]
 
 
 def _guard_verdict(state: RmedState, config: AlgorithmConfig):
@@ -190,8 +267,7 @@ def _confirmed_winner(state: RmedState, config: AlgorithmConfig, logt: float):
 def _plan_step(state: RmedState, config: AlgorithmConfig):
     t = state.t
     logt = log(t) if t >= 2 else log(2.0)
-    if state._dirty:
-        state._refresh()
+    state._update()
     if not state._sets[3]:
         raise InternalInconsistencyError("empirical winner set is empty")
 
@@ -199,15 +275,10 @@ def _plan_step(state: RmedState, config: AlgorithmConfig):
     if ihat is not None:
         candidates = {(ihat, ihat)}
     else:
-        if state._plan is None:
-            # argmin-winner plan on the empirical matrix: (ihat0, rates per pair)
-            planner = _cw_lp if config.variant == "cw" else _ecw_plan
-            state._plan = _best_plan(planner, state._div, state._sets)[:2]
-        ihat, rates = state._plan
-        counts = state.counts
-        candidates = {
-            (i, j) for (i, j), q in zip(state._pairs, rates) if q > counts[i][j] / logt
-        }
+        ihat, rates, planned = state._planned(config.variant)
+        # a zero rate never exceeds N/ln t
+        n, pairs = state._n, state._pairs
+        candidates = {pairs[p] for p in planned if rates[p] > n[p] / logt}
         candidates.add((ihat, ihat))
     state.ihat = ihat + 1
 
@@ -255,10 +326,13 @@ def update_and_plan(state: RmedState, config: AlgorithmConfig, pair, outcome) ->
             state.wins[l][m] += 1
         else:
             state.wins[m][l] += 1
-        p = state.wins[l][m] / state.counts[l][m]
-        state.muhat[l][m] = p
-        state.muhat[m][l] = 1.0 - p
-        state._dirty = True
+        mu = state.wins[l][m] / state.counts[l][m]
+        state.muhat[l][m] = mu
+        state.muhat[m][l] = 1.0 - mu
+        p = pair_index(l, m)
+        state._n[p] += 1
+        state._gap[p] = abs(mu - 0.5)
+        state._touched.add(p)
     else:
         state.counts[l][l] += 1
 
@@ -312,7 +386,7 @@ def advance_self_pairs(state: RmedState, config: AlgorithmConfig, last_round: in
     """Apply, in one step, the self-pair rounds that start at round state.t.
 
     At the loop's fixed point (L_C = [(ihat, ihat)], nothing queued, no
-    feedback since the last refresh), past the bootstrap rounds, with no
+    feedback since the last plan step), past the bootstrap rounds, with no
     guard firing and ihat the first winner whose budget clears
     (1-tol) ln t, every round draws (ihat, ihat) and changes only
     counts[ihat][ihat] and t, until alpha*sqrt(ln t) passes the smallest
@@ -326,6 +400,7 @@ def advance_self_pairs(state: RmedState, config: AlgorithmConfig, last_round: in
     if (
         config.variant == "random"
         or state._dirty
+        or state._touched
         or state.cursor
         or state.ln_next
         or len(state.lc) != 1
@@ -338,11 +413,9 @@ def advance_self_pairs(state: RmedState, config: AlgorithmConfig, last_round: in
         return 0
     if _confirmed_winner(state, config, log(t)) != h:
         return 0
-    counts = state.counts
-    low = min(counts[i][j] for i, j in state._pairs)
-    end = _count_guard_end(low, config.alpha, t, last_round + 1)
+    end = _count_guard_end(min(state._n), config.alpha, t, last_round + 1)
     end = _budget_end(state._budget(h, config.variant), t, end)
-    counts[h][h] += end - t
+    state.counts[h][h] += end - t
     state.t = end
     state.ihat = h + 1
     return end - t

@@ -24,12 +24,13 @@ The descriptor stream, the feasibility budgets and the planners in
 
 Feasibility of a rate vector is decided without enumerating subsets:
 within a group the binding constraint takes the smallest weighted rates
-from each side, so a sort plus prefix sums suffices.  Prefix sums
-accumulate left to right (``_prefix``), so a budget does not depend on
-how the interpreter's sum() rounds.  Pins are checked one-sidedly (>=):
-counts only ever grow, so over-exploration must never flip a state
-infeasible.  Upper box bounds are likewise not part of the membership
-test.
+from each side, so a sort plus prefix sums suffices.  Each rival's
+sorted column is kept in a ``GroupCache`` until its weights change.
+Prefix sums accumulate left to right (``_prefix``), so a budget does
+not depend on how the interpreter's sum() rounds.  Pins are checked
+one-sidedly (>=): counts only ever grow, so over-exploration must never
+flip a state infeasible.  Upper box bounds are likewise not part of the
+membership test.
 """
 
 from __future__ import annotations
@@ -215,35 +216,87 @@ def ecw_constraints(matrix: PreferenceMatrix, i1: int) -> ConstraintFamily:
 # feasibility via sorting (no subset enumeration)
 
 
-def _prefix(sorted_vals):
-    """Prefix sums [0, v0, v0 + v1, ...], accumulated left to right."""
+class GroupCache:
+    """Pieces of the budgets and relaxed plans, per rival group, for fixed Copeland sets.
+
+    ``min_lhs_cw``, ``min_lhs_ecw`` and ``solvers._ecw_plan`` fill it as
+    they read it, so an empty cache gives the same answers as a full one.
+    Every piece reads the weights or divergences of one row or column:
+    a winner's pins read its row, a rival's column and subproblems its
+    column.  A caller that changes the pair (l, m) calls ``drop(l)`` and
+    ``drop(m)``; a change of the sets needs a new cache.
+    """
+
+    __slots__ = ("rivals", "columns", "pins", "pieces")
+
+    def __init__(self):
+        self.rivals = {}  # i1 -> list(_ecw_rivals(sup, losses, i1))
+        self.columns = {}  # i2 -> sorted (weights[j][i2], j) for j in sup[i2]
+        self.pins = {}  # i1 -> _ecw_plan's (pair, rate, regret) entries of i1's pins
+        self.pieces = {}  # i2 -> {i1: _ecw_plan's entries of rival i2}
+
+    def drop(self, arm: int) -> None:
+        """Forget the pieces that read a weight or divergence in ``arm``'s row or column."""
+        self.columns.pop(arm, None)
+        self.pins.pop(arm, None)
+        self.pieces.pop(arm, None)
+
+    def ecw_rivals(self, sup, losses, i1):
+        rivals = self.rivals.get(i1)
+        if rivals is None:
+            rivals = self.rivals[i1] = list(_ecw_rivals(sup, losses, i1))
+        return rivals
+
+    def column(self, sup, weights, i2):
+        col = self.columns.get(i2)
+        if col is None:
+            col = self.columns[i2] = sorted((weights[j][i2], j) for j in sup[i2])
+        return col
+
+
+def _prefix(ranked, skip=None, n=inf):
+    """Prefix sums [0, w0, w0 + w1, ...] of the first n weights of a sorted (w, j) list.
+
+    Arm ``skip`` is left out; fewer sums come back when the list runs out.
+    """
     out = [0.0]
     acc = 0.0
-    for v in sorted_vals:
-        acc += v
-        out.append(acc)
+    for w, j in ranked:
+        if len(out) > n:
+            break
+        if j != skip:
+            acc += w
+            out.append(acc)
     return out
 
 
-def min_lhs_cw(sup, inf_sets, losses, i1, weights) -> float:
+def min_lhs_cw(sup, inf_sets, losses, i1, weights, groups=None) -> float:
     """Minimum constraint left side over the full family, +inf if empty.
 
     ``weights[i][j]`` must hold q_ij * d_KL(mu_ij, 1/2) (symmetric).  For
     each rival i2 and level l the binding descriptor takes the smallest
-    weights of S and of H - {i2}, H being the arms i1 beats.
+    weights of S and of H - {i2}, H being the arms i1 beats.  ``groups``
+    is a GroupCache for these sets and weights.
     """
+    groups = GroupCache() if groups is None else groups
     w_row = weights[i1]
     h_sorted = sorted((w_row[j], j) for j in inf_sets[i1])
     li1, levels = losses[i1], _cw_levels(losses)
+    # only the prefix lengths the levels read: a grows with l, b shrinks
+    top_a = levels[-1] + 1 - li1
+    pref_all = _prefix(h_sorted, n=top_a)  # H - {i2} for every i2 outside H
     best = inf
-    for i2, s in _rivals(sup, i1):
-        h_rest = [w for w, j in h_sorted if j != i2]
-        pref_h, pref_s = _prefix(h_rest), _prefix(sorted(weights[j][i2] for j in s))
+    for i2 in range(len(sup)):
+        if i2 == i1:
+            continue
+        pref_s = _prefix(groups.column(sup, weights, i2), i1, losses[i2] - levels[0])
         # (forced weight, flips saved on each side): i2 outside I, or inside
         # it when i1 beats i2, which forces in the pair (i1, i2)
         memberships = [(0.0, 0)]
-        if len(h_rest) < len(h_sorted):
+        pref_h = pref_all
+        if i2 in inf_sets[i1]:
             memberships.append((w_row[i2], 1))
+            pref_h = _prefix(h_sorted, i2, top_a)
         for forced, saved in memberships:
             for l in levels:
                 a = l + 1 - li1 - saved
@@ -255,11 +308,15 @@ def min_lhs_cw(sup, inf_sets, losses, i1, weights) -> float:
     return best
 
 
-def min_lhs_ecw(sup, inf_sets, losses, i1, weights) -> float:
-    """Minimum left side over the relaxed family: pins and subset constraints."""
+def min_lhs_ecw(sup, inf_sets, losses, i1, weights, groups=None) -> float:
+    """Minimum left side over the relaxed family: pins and subset constraints.
+
+    ``groups`` is a GroupCache for these sets and weights.
+    """
+    groups = GroupCache() if groups is None else groups
     best = min((weights[i1][j] for j in inf_sets[i1]), default=inf)
-    for i2, s, need in _ecw_rivals(sup, losses, i1):
-        lhs = _prefix(sorted(weights[j][i2] for j in s))[need]
+    for i2, _, need in groups.ecw_rivals(sup, losses, i1):
+        lhs = _prefix(groups.column(sup, weights, i2), i1, need)[need]
         if lhs < best:
             best = lhs
     return best

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import (
+    GroupCache,
     RateVector,
     _ecw_rivals,
     _iter_cw_descriptors,
@@ -105,18 +106,18 @@ def _prefix_solution(costs, slack):
     Ties between equal-objective block lengths resolve to the smallest h.
     """
     n = len(costs)
-    order = sorted(range(n), key=lambda idx: (costs[idx], idx))
+    ranked = sorted((c, idx) for idx, c in enumerate(costs))
     y = [0.0] * n
     if slack >= n:
         return y, 0.0
-    prefix = _prefix(costs[idx] for idx in order)
+    prefix = _prefix(ranked)
     best_h, best_obj = -1, math.inf
     for h in range(slack + 1, n + 1):
         obj = prefix[h] / (h - slack)
         if obj < best_obj:
             best_h, best_obj = h, obj
     level = 1.0 / (best_h - slack)
-    for idx in order[:best_h]:
+    for _, idx in ranked[:best_h]:
         y[idx] = level
     return y, best_obj
 
@@ -208,41 +209,64 @@ def simplex_solve(costs, constraints, upper_bounds):
 # internal planners shared with the bandit (0-based sets, tie-tolerant safe)
 
 
-def _ecw_plan(div, sup, inf_sets, losses, i1):
+def _plan_entry(i, j, rate, rnum, denom):
+    """(pair index, rate, regret per unit of ln t) of one planned pair."""
+    return pair_index(i, j), rate, (rnum[i][j] / denom) * rate
+
+
+def _ecw_plan(div, sup, inf_sets, losses, i1, rnum=None, groups=None):
     """Closed-form relaxed rates: (one rate per pair in iter_pairs order, constant).
 
     div is the pairwise gap divergence; tied pairs (div 0) never appear in
-    the given sets and receive no rate.
+    the given sets and receive no rate.  ``rnum`` is _regret_nums(losses)
+    and ``groups`` a GroupCache for these sets and this div: i1's pins and
+    each rival's subproblem are kept there, and the constant is summed
+    from them in one order (pins, then rivals ascending), whichever were
+    rebuilt.
     """
     k = len(losses)
     denom = 2.0 * (k - 1) if k > 1 else 1.0
-    rnum = _regret_nums(losses)
+    rnum = _regret_nums(losses) if rnum is None else rnum
+    groups = GroupCache() if groups is None else groups
+    pins = groups.pins.get(i1)
+    if pins is None:
+        pins = groups.pins[i1] = [
+            _plan_entry(i1, j, 1.0 / div[i1][j], rnum, denom) for j in inf_sets[i1]
+        ]
+    pieces = [pins]
+    for i2, cand, need in groups.ecw_rivals(sup, losses, i1):
+        per_winner = groups.pieces.setdefault(i2, {})
+        piece = per_winner.get(i1)
+        if piece is None:
+            costs = [(rnum[j][i2] / denom) / div[j][i2] for j in cand]
+            y, _ = _prefix_solution(costs, len(cand) - need)
+            piece = per_winner[i1] = [
+                _plan_entry(j, i2, yj / div[j][i2], rnum, denom)
+                for j, yj in zip(cand, y)
+                if yj > 0.0
+            ]
+        pieces.append(piece)
     q = [0.0] * pair_count(k)
     constant = 0.0
-    for j in inf_sets[i1]:
-        rate = 1.0 / div[i1][j]
-        q[pair_index(i1, j)] = rate
-        constant += (rnum[i1][j] / denom) * rate
-    for i2, cand, need in _ecw_rivals(sup, losses, i1):
-        costs = [(rnum[j][i2] / denom) / div[j][i2] for j in cand]
-        y, _ = _prefix_solution(costs, len(cand) - need)
-        for j, yj in zip(cand, y):
-            if yj > 0.0:
-                # pair roles are disjoint by construction: pins touch i1,
-                # and each subproblem only sets the losing side of i2
-                p = pair_index(j, i2)
-                assert q[p] == 0.0
-                rate = yj / div[j][i2]
-                q[p] = rate
-                constant += (rnum[j][i2] / denom) * rate
+    for piece in pieces:
+        for p, rate, regret in piece:
+            # pair roles are disjoint by construction: pins touch i1,
+            # and each subproblem only sets the losing side of i2
+            assert q[p] == 0.0
+            q[p] = rate
+            constant += regret
     return q, constant
 
 
-def _cw_lp(div, sup, inf_sets, losses, i1):
-    """Exact full-family LP: (one rate per pair in iter_pairs order, constant)."""
+def _cw_lp(div, sup, inf_sets, losses, i1, rnum=None, groups=None):
+    """Exact full-family LP: (one rate per pair in iter_pairs order, constant).
+
+    ``rnum`` is _regret_nums(losses); ``groups`` is accepted so that both
+    planners take the same arguments, and unused: the LP is solved whole.
+    """
     k = len(losses)
     denom = 2.0 * (k - 1)
-    rnum = _regret_nums(losses)
+    rnum = _regret_nums(losses) if rnum is None else rnum
     pairs = list(iter_pairs(k))
     c = np.array([rnum[i][j] / denom for i, j in pairs])
     divs = [div[i][j] for i, j in pairs]
@@ -260,17 +284,18 @@ def _cw_lp(div, sup, inf_sets, losses, i1):
     return x.tolist(), value
 
 
-def _best_plan(planner, div, sets):
+def _best_plan(planner, div, sets, rnum, groups):
     """(winner, rates, constant) of the winner whose plan has the smallest constant.
 
-    ``sets`` is (superiors, inferiors, losses, winners), all 0-based, and
-    ``planner`` is _ecw_plan or _cw_lp.  Ties go to the winner listed
-    first, so an ascending list resolves them to the smallest arm.
+    ``sets`` is (superiors, inferiors, losses, winners), all 0-based,
+    ``planner`` is _ecw_plan or _cw_lp, and ``rnum`` and ``groups`` are
+    handed to it.  Ties go to the winner listed first, so an ascending
+    list resolves them to the smallest arm.
     """
     sup, inf_sets, losses, winners = sets
     best = None
     for i1 in winners:
-        rates, constant = planner(div, sup, inf_sets, losses, i1)
+        rates, constant = planner(div, sup, inf_sets, losses, i1, rnum, groups)
         if best is None or constant < best[2]:
             best = i1, rates, constant
     return best
@@ -290,7 +315,7 @@ def _optimal(matrix: PreferenceMatrix, i1, variant: str, k_max=None) -> OptimalE
     else:
         planner, exactness = _ecw_plan, "ecw_closed_form"
     div = gap_divergence(matrix.values).tolist()
-    winner, rates, constant = _best_plan(planner, div, sets)
+    winner, rates, constant = _best_plan(planner, div, sets, _regret_nums(sets[2]), GroupCache())
     return OptimalExploration(
         winner=winner + 1,
         rates=RateVector(matrix.k, rates),

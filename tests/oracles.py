@@ -4,9 +4,12 @@ Everything here re-derives the constraint families directly from their
 set-quantified definitions with plain itertools enumeration, without
 touching the library's sorted fast paths or descriptor generators.
 Intended for K <= 6.  ``run_per_round`` is the simulation loop stepped one
-round at a time, the reference for the harness's stretch skipping.
+round at a time, the reference for the harness's stretch skipping;
+``run_rebuilt`` also rebuilds the bandit's caches before every plan, the
+reference for their draw-by-draw upkeep.
 """
 
+import copy
 import itertools
 import math
 
@@ -121,11 +124,13 @@ def subset_solution_feasible(y, slack, tol=1e-9):
     )
 
 
-def run_per_round(matrix, config, horizon, seed):
+def run_per_round(matrix, config, horizon, seed, rebuild=False):
     """Reference simulation loop: every round through select_pair/update_and_plan.
 
     Same contract as ``harness._run_single`` (checkpoints, regret row,
     terminal state), without applying any stretch of rounds in one step.
+    With ``rebuild``, every plan is made from caches rebuilt in full from
+    the tallies, not kept up to date draw by draw.
     """
     _check_preconditions(matrix, config, horizon)
     k = matrix.k
@@ -144,10 +149,45 @@ def run_per_round(matrix, config, horizon, seed):
         else:
             l, m = select_pair(state, config)
         outcome = None if l == m else (1 if rng.random() < vals[l - 1][m - 1] else 0)
-        state._guard = None  # update_and_plan rescans the guards itself
+        if rebuild:
+            # the guard verdict of select_pair is kept, so the rebuild happens
+            # after this draw is tallied and before the plan reads the caches
+            state._dirty = True
+        else:
+            state._guard = None  # update_and_plan rescans the guards itself
         update_and_plan(state, config, (l, m), outcome)
         acc += rnum[l - 1][m - 1]
         if t == grid[cp_idx]:
             row.append(acc / (2.0 * (k - 1)))
             cp_idx += 1
     return grid, row, state
+
+
+def run_rebuilt(matrix, config, horizon, seed):
+    """``run_per_round`` with every plan made from a full ``RmedState._refresh()``."""
+    return run_per_round(matrix, config, horizon, seed, rebuild=True)
+
+
+def cache_view(state, variant):
+    """Everything a plan step reads, with every winner's budget and the plan."""
+    return (
+        state._sets,
+        state._rnum,
+        state._div,
+        state._weights,
+        state._n,
+        state._gap,
+        [state._budget(i1, variant) for i1 in state._sets[3]],
+        state._planned(variant),
+    )
+
+
+def assert_caches_match_a_rebuild(state, variant):
+    """The caches brought up to date from the live ones equal those of a full rebuild.
+
+    Both are made on copies, so the run under test is left as it is.
+    """
+    live, fresh = copy.deepcopy(state), copy.deepcopy(state)
+    live._update()
+    fresh._refresh()
+    assert cache_view(live, variant) == cache_view(fresh, variant)

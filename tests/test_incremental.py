@@ -1,0 +1,112 @@
+"""The bandit's caches, kept up to date draw by draw, equal a full rebuild.
+
+``harness._run_single`` lets ``RmedState`` rewrite only the drawn pairs'
+divergences and weights and drop only the cached pieces that read them;
+``oracles.run_rebuilt`` rebuilds every cache from the tallies before each
+plan.  Their rows and terminal states must match exactly.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from duelbench import AlgorithmConfig, RmedState, builtin_dataset, update_and_plan
+from duelbench.core import gap_divergence, sample_submatrix
+from duelbench.harness import _run_single
+from conftest import random_matrix
+from oracles import assert_caches_match_a_rebuild, run_rebuilt
+from test_self_pairs import snapshot
+
+
+def assert_same_as_rebuilt(matrix, config, horizon, seed):
+    grid, row, state = _run_single(matrix, config, horizon, seed)
+    ref_grid, ref_row, ref_state = run_rebuilt(matrix, config, horizon, seed)
+    assert grid == ref_grid
+    assert row == ref_row
+    assert snapshot(state) == snapshot(ref_state)
+    assert_caches_match_a_rebuild(state, config.variant)
+
+
+class TestKeptEqualsRebuilt:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sushi_ecw(self, seed):
+        assert_same_as_rebuilt(builtin_dataset("sushi"), AlgorithmConfig(), 3_000, seed)
+
+    def test_mslr5_noncondorcet_ecw(self):
+        matrix = builtin_dataset("mslr5_noncondorcet")
+        assert_same_as_rebuilt(matrix, AlgorithmConfig(), 20_000, 0)
+
+    def test_sushi_submatrix_cw(self):
+        matrix = sample_submatrix(builtin_dataset("sushi"), 6, 0.02, 3)
+        assert_same_as_rebuilt(matrix, AlgorithmConfig(variant="cw"), 1_000, 0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        k=st.integers(2, 6),
+        matrix_seed=st.integers(0, 2**32 - 1),
+        run_seed=st.integers(0, 2**32 - 1),
+        variant=st.sampled_from(["ecw", "cw"]),
+        alpha=st.floats(0.5, 6.0),
+        beta=st.floats(0.0, 0.2),
+        horizon=st.integers(1, 4_000),
+    )
+    def test_random_matrices(self, k, matrix_seed, run_seed, variant, alpha, beta, horizon):
+        matrix = random_matrix(np.random.default_rng(matrix_seed), k)
+        if variant == "cw":
+            horizon = min(horizon, 1_500)  # an exact LP per replan
+        config = AlgorithmConfig(variant=variant, alpha=alpha, beta=beta)
+        assert_same_as_rebuilt(matrix, config, horizon, run_seed)
+
+
+def log_disagreements(max_n):
+    """Estimates w/n (0 < w < n <= max_n, w/n != 1/2) whose d_KL terms take
+    a different last bit from math.log than from numpy's vector log."""
+    ests = np.array([w / n for n in range(2, max_n + 1) for w in range(1, n) if 2 * w != n])
+    vec_lo, vec_hi = np.log(2.0 * ests), np.log(2.0 * (1.0 - ests))
+    return [
+        float(p)
+        for p, lo, hi in zip(ests, vec_lo, vec_hi)
+        if math.log(2.0 * p) != lo or math.log(2.0 * (1.0 - p)) != hi
+    ]
+
+
+def fractions(p, max_n):
+    """(wins, draws) of the first w/n equal to p."""
+    for n in range(2, max_n + 1):
+        w = round(p * n)
+        if w / n == p:
+            return w, n
+    raise AssertionError(p)
+
+
+class TestDivergenceBits:
+    def test_drawn_divergences_are_the_rebuilt_bits(self):
+        # on hosts whose math.log and numpy log agree everywhere these
+        # estimates are ordinary ones, and the check still holds
+        max_n, k = 120, 6
+        chosen = (log_disagreements(max_n) or [w / 7 for w in range(1, 7)])[:60]
+        cfg = AlgorithmConfig(variant="random")  # accepts any pair, never plans
+        pairs = [(i, j) for i in range(k) for j in range(i)]
+        for start in range(0, len(chosen), len(pairs)):
+            state = RmedState(k)
+            targets = [fractions(p, max_n) for p in chosen[start : start + len(pairs)]]
+            # one draw puts each estimate on its final side of 1/2 ...
+            for (i, j), (w, n) in zip(pairs, targets):
+                update_and_plan(state, cfg, (i + 1, j + 1), int(2 * w > n))
+            state._update()
+            sets = state._sets
+            # ... so the remaining draws take the per-draw path, not a rebuild
+            for (i, j), (w, n) in zip(pairs, targets):
+                won = int(2 * w > n)
+                for outcome in [1] * (w - won) + [0] * (n - 1 - (w - won)):
+                    update_and_plan(state, cfg, (i + 1, j + 1), outcome)
+            state._update()
+            assert state._sets is sets
+            for (i, j), (w, n) in zip(pairs, targets):
+                assert state.muhat[i][j] == w / n
+            assert state._div == gap_divergence(state.muhat).tolist()
+            counts = np.array(state.counts, dtype=float)
+            assert state._weights == (counts * gap_divergence(state.muhat)).tolist()

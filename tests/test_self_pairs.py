@@ -27,7 +27,7 @@ from duelbench.constraints import FEASIBILITY_TOL
 from duelbench.core import _copeland_sets, _regret_nums
 from duelbench.harness import _run_single
 from conftest import random_matrix
-from oracles import run_per_round
+from oracles import assert_caches_match_a_rebuild, run_per_round
 
 SCALE = 1.0 - FEASIBILITY_TOL
 
@@ -324,7 +324,8 @@ class SteppedRun(RuleBasedStateMachine):
     Besides the tallies and the regret ledger, the loop bookkeeping must
     hold: L_C sorted without duplicates, the pairs still to draw in this
     pass exactly ``lc[cursor:]``, and nothing queued for the next pass
-    among them.
+    among them.  The planning caches, kept up to date draw by draw, must
+    equal a full rebuild from the tallies.
     """
 
     @initialize(
@@ -364,6 +365,10 @@ class SteppedRun(RuleBasedStateMachine):
         assert state.lc == sorted(set(state.lc))
         assert state.lr == set(state.lc[state.cursor :])
         assert not state.ln_next & state.lr
+
+    @invariant()
+    def caches_match_a_rebuild(self):
+        assert_caches_match_a_rebuild(self.state, self.config.variant)
 
 
 TestSteppedRun = SteppedRun.TestCase
