@@ -184,8 +184,7 @@ class RmedState:
             n = self.counts[i][j]
             self._div[i][j], self._div[j][i] = dij, dji
             self._weights[i][j], self._weights[j][i] = n * dij, n * dji
-            self._groups.drop(i)
-            self._groups.drop(j)
+            self._groups.drop(i, j)
         self._touched.clear()
         self._budgets = {}
         self._plan = None

@@ -217,29 +217,39 @@ def ecw_constraints(matrix: PreferenceMatrix, i1: int) -> ConstraintFamily:
 
 
 class GroupCache:
-    """Pieces of the budgets and relaxed plans, per rival group, for fixed Copeland sets.
+    """Pieces of the budgets and plans, per winner and rival group, for fixed Copeland sets.
 
-    ``min_lhs_cw``, ``min_lhs_ecw`` and ``solvers._ecw_plan`` fill it as
-    they read it, so an empty cache gives the same answers as a full one.
-    Every piece reads the weights or divergences of one row or column:
-    a winner's pins read its row, a rival's column and subproblems its
-    column.  A caller that changes the pair (l, m) calls ``drop(l)`` and
-    ``drop(m)``; a change of the sets needs a new cache.
+    ``min_lhs_cw``, ``min_lhs_ecw`` and the planners in ``solvers`` fill it
+    as they read it, so an empty cache gives the same answers as a full
+    one.  A winner's pins read its row of weights or divergences, one
+    entry per pair; a rival's column and subproblems read its column.
+    The relaxed rivals and the exact LP's row pattern read only the sets.
+    A caller that changes the pair (l, m) calls ``drop(l, m)``; a change
+    of the sets needs a new cache.
     """
 
-    __slots__ = ("rivals", "columns", "pins", "pieces")
+    __slots__ = ("rivals", "columns", "pins", "pieces", "lp_rows")
 
     def __init__(self):
         self.rivals = {}  # i1 -> list(_ecw_rivals(sup, losses, i1))
         self.columns = {}  # i2 -> sorted (weights[j][i2], j) for j in sup[i2]
-        self.pins = {}  # i1 -> _ecw_plan's (pair, rate, regret) entries of i1's pins
+        self.pins = {}  # i1 -> {j: _ecw_plan's (pair, rate, regret) entry, None if stale}
         self.pieces = {}  # i2 -> {i1: _ecw_plan's entries of rival i2}
+        self.lp_rows = {}  # i1 -> _cw_lp's 0/1 row pattern of i1's minimal pair sets
 
-    def drop(self, arm: int) -> None:
-        """Forget the pieces that read a weight or divergence in ``arm``'s row or column."""
-        self.columns.pop(arm, None)
-        self.pins.pop(arm, None)
-        self.pieces.pop(arm, None)
+    def drop(self, l: int, m: int) -> None:
+        """Forget the pieces that read the weight or divergence of the pair (l, m).
+
+        The pair sits in the columns of l and m, whose pieces go, and in
+        the pins of whichever of them beats the other, whose entry for the
+        pair is marked stale.
+        """
+        for a, b in ((l, m), (m, l)):
+            self.columns.pop(a, None)
+            self.pieces.pop(a, None)
+            pins = self.pins.get(a)
+            if pins is not None and b in pins:
+                pins[b] = None
 
     def ecw_rivals(self, sup, losses, i1):
         rivals = self.rivals.get(i1)

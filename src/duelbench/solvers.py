@@ -6,11 +6,16 @@ at least 1.  After sorting costs ascending an optimal solution is a
 prefix block y_1..y_h = 1/(h-k) for some h > k, so scanning the at most
 n-k candidates solves it exactly.
 
-The full ("cw") program is a linear program over all enumerated family
-constraints plus per-pair box bounds; it is solved exactly by the dense
-in-house simplex below (Bland's rule, deterministic).  The LP is gated
-at K_max arms because the constraint count grows exponentially; the
-relaxed program has no size limit.
+The full ("cw") program is a linear program over the family's
+constraints plus per-pair box bounds, solved exactly by the dense
+in-house simplex below (Bland's rule, deterministic).  Its rows are the
+minimal pair sets P_IS of the enumerated family: a set that strictly
+contains another is implied by it, since coefficients are per pair and
+nonnegative and x >= 0, so dropping it leaves the feasible polytope, and
+the optimum, unchanged.  The row pattern reads only the Copeland sets
+and is kept per winner in a ``GroupCache``.  The LP is gated at K_max
+arms because the enumeration grows exponentially; the relaxed program
+has no size limit.
 """
 
 from __future__ import annotations
@@ -43,6 +48,10 @@ from .errors import (
 
 _K_MAX_ENV = "DUELBENCH_KMAX"
 DEFAULT_K_MAX = 8
+
+#: simplex_solve gives up after this many pivots per tableau row (Bland's
+#: rule cannot cycle, so only numerical trouble can get near the cap).
+PIVOTS_PER_ROW = 50
 
 
 def check_gate(gate: int, name: str = "K_max") -> int:
@@ -146,7 +155,8 @@ def simplex_solve(costs, constraints, upper_bounds):
     the slack-basis origin of an equivalent maximization, so no phase-one
     is needed.  Deterministic: Bland's rule for entering and leaving.
 
-    Returns (x, value) with x an optimal vertex.
+    Returns (x, value) with x an optimal vertex.  Raises
+    NumericalInstabilityError past PIVOTS_PER_ROW pivots per tableau row.
     """
     c = np.asarray(costs, dtype=float)
     u = np.asarray(upper_bounds, dtype=float)
@@ -175,10 +185,15 @@ def simplex_solve(costs, constraints, upper_bounds):
     tab[m, :n] = c  # reduced costs of max c.z
     basis = list(range(n, n + m))
 
+    cap = PIVOTS_PER_ROW * m
+    pivots = 0
     while True:
         entering = np.flatnonzero(tab[m, :-1] > 1e-9)
         if entering.size == 0:
             break
+        if pivots >= cap:
+            raise NumericalInstabilityError(f"simplex not optimal after {pivots} pivots")
+        pivots += 1
         j = int(entering[0])
         col = tab[:m, j]
         usable = col > 1e-11
@@ -221,8 +236,8 @@ def _ecw_plan(div, sup, inf_sets, losses, i1, rnum=None, groups=None):
     the given sets and receive no rate.  ``rnum`` is _regret_nums(losses)
     and ``groups`` a GroupCache for these sets and this div: i1's pins and
     each rival's subproblem are kept there, and the constant is summed
-    from them in one order (pins, then rivals ascending), whichever were
-    rebuilt.
+    from them in one order (pins in inf_sets[i1] order, then rivals
+    ascending), whichever were rebuilt.
     """
     k = len(losses)
     denom = 2.0 * (k - 1) if k > 1 else 1.0
@@ -230,10 +245,11 @@ def _ecw_plan(div, sup, inf_sets, losses, i1, rnum=None, groups=None):
     groups = GroupCache() if groups is None else groups
     pins = groups.pins.get(i1)
     if pins is None:
-        pins = groups.pins[i1] = [
-            _plan_entry(i1, j, 1.0 / div[i1][j], rnum, denom) for j in inf_sets[i1]
-        ]
-    pieces = [pins]
+        pins = groups.pins[i1] = dict.fromkeys(inf_sets[i1])
+    for j in inf_sets[i1]:
+        if pins[j] is None:
+            pins[j] = _plan_entry(i1, j, 1.0 / div[i1][j], rnum, denom)
+    pieces = [pins.values()]
     for i2, cand, need in groups.ecw_rivals(sup, losses, i1):
         per_winner = groups.pieces.setdefault(i2, {})
         piece = per_winner.get(i1)
@@ -258,29 +274,57 @@ def _ecw_plan(div, sup, inf_sets, losses, i1, rnum=None, groups=None):
     return q, constant
 
 
+def _minimal_sets(masks):
+    """The bit masks that contain no other one, in their given order.
+
+    ``masks`` must be distinct.  Taken by ascending popcount, a mask is
+    checked against the masks kept so far: a contained one has fewer
+    bits, and a mask that contains a dropped one contains a kept one too.
+    """
+    kept = []
+    for mask in sorted(masks, key=int.bit_count):
+        for low in kept:  # a plain loop: any() over a generator costs twice as much
+            if low & mask == low:
+                break
+        else:
+            kept.append(mask)
+    kept = set(kept)
+    return [mask for mask in masks if mask in kept]
+
+
+def _lp_pattern(sup, inf_sets, losses, i1):
+    """0/1 rows of the minimal pair sets P_IS of winner i1, in first-seen order."""
+    sets = {}  # mask of the pair indices -> the indices
+    for i2, _l, iset, sset in _iter_cw_descriptors(sup, inf_sets, losses, i1):
+        # the pairs are distinct: S never holds i1, so (i2, j) is never (i1, i2)
+        idxs = [pair_index(i1, j) for j in iset] + [pair_index(i2, j) for j in sset]
+        sets.setdefault(sum(1 << p for p in idxs), idxs)
+    kept = _minimal_sets(list(sets))
+    pattern = np.zeros((len(kept), pair_count(len(losses))))
+    for row, mask in zip(pattern, kept):
+        row[sets[mask]] = 1.0
+    return pattern
+
+
 def _cw_lp(div, sup, inf_sets, losses, i1, rnum=None, groups=None):
     """Exact full-family LP: (one rate per pair in iter_pairs order, constant).
 
-    ``rnum`` is _regret_nums(losses); ``groups`` is accepted so that both
-    planners take the same arguments, and unused: the LP is solved whole.
+    ``rnum`` is _regret_nums(losses) and ``groups`` a GroupCache for these
+    sets, which keeps i1's row pattern; each call scales it by the current
+    divergences and solves the LP over those rows.
     """
     k = len(losses)
     denom = 2.0 * (k - 1)
     rnum = _regret_nums(losses) if rnum is None else rnum
+    groups = GroupCache() if groups is None else groups
+    pattern = groups.lp_rows.get(i1)
+    if pattern is None:
+        pattern = groups.lp_rows[i1] = _lp_pattern(sup, inf_sets, losses, i1)
     pairs = list(iter_pairs(k))
     c = np.array([rnum[i][j] / denom for i, j in pairs])
     divs = [div[i][j] for i, j in pairs]
     u = np.array([1.0 / d if d > 0.0 else 0.0 for d in divs])
-    # distinct pair sets P_IS, in first-seen order
-    seen = dict.fromkeys(
-        frozenset([pair_index(i1, j) for j in iset] + [pair_index(i2, j) for j in sset])
-        for i2, _l, iset, sset in _iter_cw_descriptors(sup, inf_sets, losses, i1)
-    )
-    rows = np.zeros((len(seen), len(pairs)))
-    for rix, idxs in enumerate(seen):
-        for p in idxs:
-            rows[rix, p] = divs[p]
-    x, value = simplex_solve(c, rows, u)
+    x, value = simplex_solve(c, pattern * divs, u)
     return x.tolist(), value
 
 
@@ -334,10 +378,10 @@ def ecw_optimal(matrix: PreferenceMatrix, i1: int | None = None) -> OptimalExplo
 
 
 def lp_cw_optimal(matrix: PreferenceMatrix, i1: int, k_max: int | None = None) -> OptimalExploration:
-    """Exact optimum of the full program for winner i1, via enumerated LP.
+    """Exact optimum of the full program for winner i1, via the LP over its minimal rows.
 
-    Raises TooLargeError beyond K_max arms (constraint count is
-    exponential in K).
+    Raises TooLargeError beyond K_max arms (the enumeration of the
+    constraint family is exponential in K).
     """
     return _optimal(matrix, i1, "cw", k_max)
 

@@ -3,7 +3,9 @@
 Everything here re-derives the constraint families directly from their
 set-quantified definitions with plain itertools enumeration, without
 touching the library's sorted fast paths or descriptor generators.
-Intended for K <= 6.  ``run_per_round`` is the simulation loop stepped one
+Intended for K <= 6, and K = 8 for ``cw_lp_enumerated``, the exact LP
+over every distinct P_IS, the reference for the library's LP over the
+minimal ones.  ``run_per_round`` is the simulation loop stepped one
 round at a time, the reference for the harness's stretch skipping;
 ``run_rebuilt`` also rebuilds the bandit's caches before every plan, the
 reference for their draw-by-draw upkeep.
@@ -16,8 +18,9 @@ import math
 import numpy as np
 
 from duelbench.bandit import RmedState, random_baseline_select, select_pair, update_and_plan
-from duelbench.core import _copeland_sets, _regret_nums
+from duelbench.core import _copeland_sets, _regret_nums, gap_divergence
 from duelbench.harness import _check_preconditions, checkpoint_grid
+from duelbench.solvers import simplex_solve
 
 
 def sign_sets(values):
@@ -102,6 +105,35 @@ def feasible_brute(values, i1, weights, kind, tol=1e-12):
             min((weights[i][j] for i, j in pins), default=math.inf),
         )
     return low >= 1.0 - tol
+
+
+def cw_lp_program(values, i1):
+    """(costs, rows, box) of the full-family LP with a row for every distinct P_IS.
+
+    ``values`` is a K x K array, K >= 2; columns are the pairs in
+    lexicographic (i > j) order, and tied pairs get a zero box.
+    """
+    values = np.asarray(values, dtype=float)
+    k = len(values)
+    _, _, losses = sign_sets(values)
+    rnum = _regret_nums(losses)
+    div = gap_divergence(values)
+    pairs = [(i, j) for i in range(k) for j in range(i)]
+    index = {pair: p for p, pair in enumerate(pairs)}
+    costs = [rnum[i][j] / (2.0 * (k - 1)) for i, j in pairs]
+    box = [1.0 / div[i, j] if div[i, j] > 0.0 else 0.0 for i, j in pairs]
+    distinct = dict.fromkeys(cw_pair_sets(values, i1))
+    rows = np.zeros((len(distinct), len(pairs)))
+    for row, pair_set in zip(rows, distinct):
+        for pair in pair_set:
+            row[index[pair]] = div[pair]
+    return costs, rows, box
+
+
+def cw_lp_enumerated(values, i1):
+    """(rates, constant) of ``cw_lp_program`` by the library's simplex."""
+    x, value = simplex_solve(*cw_lp_program(values, i1))
+    return x.tolist(), value
 
 
 def subset_lp_rows(n, slack):

@@ -61,7 +61,7 @@ BOUNDS_PINS = {
     ),
     "mslr5_condorcet": (
         "76974909da659ad8d8b692431528af23320c793a34c7368334c07a3631fde4af",
-        "d26871c23d56ca9dc4d57690a6cb611b4b926cf7ba5dfbf6170a8c11a84409bc",
+        "b11ddc9cd2eeddf2a453880fb772b3c07d45e7eba50e7f400b2e2629c1aae600",
     ),
     "mslr5_noncondorcet": (
         "e94a80c995b72b8bbfd0aecda9e838bc2f59ced5d57f5feeda17caa609f722e8",

@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duelbench import AlgorithmConfig, RmedState, builtin_dataset, update_and_plan
-from duelbench.core import gap_divergence, sample_submatrix
+from duelbench.constraints import GroupCache
+from duelbench.core import _copeland_sets, gap_divergence, sample_submatrix
 from duelbench.harness import _run_single
+from duelbench.solvers import _ecw_plan
 from conftest import random_matrix
 from oracles import assert_caches_match_a_rebuild, run_rebuilt
 from test_self_pairs import snapshot
@@ -110,3 +112,26 @@ class TestDivergenceBits:
             assert state._div == gap_divergence(state.muhat).tolist()
             counts = np.array(state.counts, dtype=float)
             assert state._weights == (counts * gap_divergence(state.muhat)).tolist()
+
+
+class TestGroupCacheDrop:
+    def test_a_draw_rewrites_one_pin_entry(self):
+        sushi = builtin_dataset("sushi")
+        sup, inf_sets, losses, winners = _copeland_sets(sushi.values)
+        div = gap_divergence(sushi.values).tolist()
+        i1 = winners[0]
+        j = inf_sets[i1][2]
+        groups = GroupCache()
+        _ecw_plan(div, sup, inf_sets, losses, i1, groups=groups)
+        before = dict(groups.pins[i1])
+        div[i1][j] *= 1.5
+        div[j][i1] *= 1.5
+        groups.drop(j, i1)
+        assert groups.pins[i1][j] is None
+        assert i1 not in groups.pieces and j not in groups.pieces
+        plan = _ecw_plan(div, sup, inf_sets, losses, i1, groups=groups)
+        assert plan == _ecw_plan(div, sup, inf_sets, losses, i1)
+        after = groups.pins[i1]
+        assert list(after) == list(inf_sets[i1])
+        assert after[j] != before[j]
+        assert all(after[m] is before[m] for m in inf_sets[i1] if m != j)
