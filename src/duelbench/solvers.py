@@ -7,8 +7,11 @@ prefix block y_1..y_h = 1/(h-k) for some h > k, so scanning the at most
 n-k candidates solves it exactly.
 
 The full ("cw") program is a linear program over the family's
-constraints plus per-pair box bounds, solved exactly by the dense
-in-house simplex below (Bland's rule, deterministic).  Its rows are the
+constraints plus per-pair box bounds, solved exactly by the in-house
+simplex below (Bland's rule, deterministic).  It pivots on the condensed
+tableau, which keeps a column per nonbasic variable only; the basic
+columns it leaves out are exact unit vectors, so its pivots and answers
+are bit for bit those of the full tableau.  The LP's rows are the
 minimal pair sets P_IS of the enumerated family: a set that strictly
 contains another is implied by it, since coefficients are per pair and
 nonnegative and x >= 0, so dropping it leaves the feasible polytope, and
@@ -143,29 +146,53 @@ def solve_subproblem(instance: SubproblemInstance):
 
 
 # ---------------------------------------------------------------------------
-# dense simplex (exact LP engine)
+# condensed simplex (exact LP engine)
+
+
+def _float_array(values, what):
+    """``values`` as a float array; ValidationError if it is ragged or not numeric."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a numeric array") from None
 
 
 def simplex_solve(costs, constraints, upper_bounds):
     """Minimize costs . x subject to row . x >= 1 per row and 0 <= x <= u.
 
+    ``costs`` and ``upper_bounds`` are finite 1-D arrays of one length n,
+    ``constraints`` is empty or an r x n array of finite coefficients.
     All row coefficients must be nonnegative and the box point x = u must
     satisfy every row (it does for divergence families, where u is the
     per-pair budget cap).  Substituting x = u - z turns the box point into
     the slack-basis origin of an equivalent maximization, so no phase-one
     is needed.  Deterministic: Bland's rule for entering and leaving.
 
+    The tableau is the condensed one: a column per nonbasic variable and
+    the right-hand side, (r+n+1) x (n+1), instead of a column per variable.
+    A pivot reuses the entering column for the leaving variable.  In the
+    full tableau a basic column is an exact unit vector with an exact zero
+    reduced cost, so it never enters and a pivot subtracts exact zeros
+    from it; every stored cell is the same float expression as there, and
+    the pivots, x and the value are bit for bit those of the full tableau.
+
     Returns (x, value) with x an optimal vertex.  Raises
     NumericalInstabilityError past PIVOTS_PER_ROW pivots per tableau row.
     """
-    c = np.asarray(costs, dtype=float)
-    u = np.asarray(upper_bounds, dtype=float)
+    c = _float_array(costs, "costs")
+    if c.ndim != 1 or not np.isfinite(c).all():
+        raise ValidationError("costs must be a finite 1-D array")
+    u = _float_array(upper_bounds, "box bounds")
     n = c.shape[0]
     if u.shape != (n,):
         raise ValidationError("objective and box sizes differ")
     if (u < 0).any() or not np.isfinite(u).all():
         raise ValidationError("box bounds must be finite and nonnegative")
-    rows = np.asarray(constraints, dtype=float).reshape(-1, n) if len(constraints) else np.zeros((0, n))
+    rows = _float_array(constraints, "constraints") if len(constraints) else np.zeros((0, n))
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValidationError(f"constraints must be an r x {n} array, got shape {rows.shape}")
+    if not np.isfinite(rows).all():
+        raise ValidationError("constraint coefficients must be finite")
     if (rows < 0).any():
         raise ValidationError("constraint coefficients must be nonnegative")
     r = rows.shape[0]
@@ -176,44 +203,48 @@ def simplex_solve(costs, constraints, upper_bounds):
     b = np.maximum(b, 0.0)
 
     m = r + n
-    tab = np.zeros((m + 1, n + m + 1))
+    tab = np.zeros((m + 1, n + 1))
     tab[:r, :n] = rows
     tab[r:m, :n] = np.eye(n)
-    tab[:m, n : n + m] = np.eye(m)
     tab[:r, -1] = b
     tab[r:m, -1] = u
     tab[m, :n] = c  # reduced costs of max c.z
-    basis = list(range(n, n + m))
+    done = n + m  # above every variable index: marks "no candidate"
+    basis = np.arange(n, n + m)  # variable of each row: z first, then the slacks
+    nonbasic = np.append(np.arange(n), done)  # variable of each column; the rhs never enters
 
     cap = PIVOTS_PER_ROW * m
     pivots = 0
     while True:
-        entering = np.flatnonzero(tab[m, :-1] > 1e-9)
-        if entering.size == 0:
+        # Bland: the smallest variable index among the columns with a positive reduced cost
+        keys = np.where(tab[m] > 1e-9, nonbasic, done)
+        j = int(keys.argmin())
+        if keys[j] == done:
             break
         if pivots >= cap:
             raise NumericalInstabilityError(f"simplex not optimal after {pivots} pivots")
         pivots += 1
-        j = int(entering[0])
         col = tab[:m, j]
         usable = col > 1e-11
         if not usable.any():
             raise NumericalInstabilityError(
                 "no pivot above 1e-11 available in entering column"
             )
-        ratios = np.where(usable, tab[:m, -1] / np.where(usable, col, 1.0), np.inf)
-        low = ratios.min()
-        tied = np.flatnonzero(ratios <= low + 1e-12)
-        i = int(min(tied, key=lambda idx: basis[idx]))
-        prow = tab[i] / tab[i, j]
+        ratios = np.divide(tab[:m, -1], col, out=np.full(m, np.inf), where=usable)
+        tied = ratios <= ratios.min() + 1e-12
+        i = int(np.where(tied, basis, done).argmin())
+        pivot = tab[i, j]
+        prow = tab[i] / pivot
+        prow[j] = 1.0 / pivot  # the leaving variable's column, a unit vector before
         colv = tab[:, j].copy()
         colv[i] = 0.0
-        tab -= np.outer(colv, prow)
+        tab[:, j] = 0.0
+        tab -= colv[:, None] * prow
         tab[i] = prow
-        basis[i] = j
+        basis[i], nonbasic[j] = nonbasic[j], basis[i]
 
     z = np.zeros(n)
-    for i, bv in enumerate(basis):
+    for i, bv in enumerate(basis.tolist()):
         if bv < n:
             z[bv] = tab[i, -1]
     x = np.clip(u - z, 0.0, u)
@@ -294,15 +325,25 @@ def _minimal_sets(masks):
 
 def _lp_pattern(sup, inf_sets, losses, i1):
     """0/1 rows of the minimal pair sets P_IS of winner i1, in first-seen order."""
-    sets = {}  # mask of the pair indices -> the indices
+    k = len(losses)
+    bits = [[1 << pair_index(i, j) if i != j else 0 for j in range(k)] for i in range(k)]
+    own = bits[i1]
+    masks = {}  # a dict keeps the first-seen order
     for i2, _l, iset, sset in _iter_cw_descriptors(sup, inf_sets, losses, i1):
-        # the pairs are distinct: S never holds i1, so (i2, j) is never (i1, i2)
-        idxs = [pair_index(i1, j) for j in iset] + [pair_index(i2, j) for j in sset]
-        sets.setdefault(sum(1 << p for p in idxs), idxs)
-    kept = _minimal_sets(list(sets))
-    pattern = np.zeros((len(kept), pair_count(len(losses))))
+        mask = 0
+        for j in iset:
+            mask |= own[j]
+        rival = bits[i2]
+        for j in sset:
+            mask |= rival[j]
+        masks[mask] = None
+    kept = _minimal_sets(list(masks))
+    pattern = np.zeros((len(kept), pair_count(k)))
     for row, mask in zip(pattern, kept):
-        row[sets[mask]] = 1.0
+        while mask:
+            low = mask & -mask
+            row[low.bit_length() - 1] = 1.0
+            mask ^= low
     return pattern
 
 

@@ -8,7 +8,8 @@ over every distinct P_IS, the reference for the library's LP over the
 minimal ones.  ``run_per_round`` is the simulation loop stepped one
 round at a time, the reference for the harness's stretch skipping;
 ``run_rebuilt`` also rebuilds the bandit's caches before every plan, the
-reference for their draw-by-draw upkeep.
+reference for their draw-by-draw upkeep.  ``simplex_dense`` is the
+simplex on the full tableau, the reference for the condensed one.
 """
 
 import copy
@@ -17,8 +18,10 @@ import math
 
 import numpy as np
 
+from duelbench import solvers
 from duelbench.bandit import RmedState, random_baseline_select, select_pair, update_and_plan
 from duelbench.core import _copeland_sets, _regret_nums, gap_divergence
+from duelbench.errors import NumericalInstabilityError, ValidationError
 from duelbench.harness import _check_preconditions, checkpoint_grid
 from duelbench.solvers import simplex_solve
 
@@ -134,6 +137,84 @@ def cw_lp_enumerated(values, i1):
     """(rates, constant) of ``cw_lp_program`` by the library's simplex."""
     x, value = simplex_solve(*cw_lp_program(values, i1))
     return x.tolist(), value
+
+
+def simplex_dense(costs, constraints, upper_bounds):
+    """Minimize costs . x subject to row . x >= 1 per row and 0 <= x <= u.
+
+    All row coefficients must be nonnegative and the box point x = u must
+    satisfy every row (it does for divergence families, where u is the
+    per-pair budget cap).  Substituting x = u - z turns the box point into
+    the slack-basis origin of an equivalent maximization, so no phase-one
+    is needed.  Deterministic: Bland's rule for entering and leaving.
+
+    Returns (x, value) with x an optimal vertex.  Raises
+    NumericalInstabilityError past PIVOTS_PER_ROW pivots per tableau row.
+
+    The full tableau, (r+n+1) x (2n+r+1), with a column for every
+    variable: the reference for ``solvers.simplex_solve``, which keeps the
+    nonbasic columns only and must match it bit for bit.
+    """
+    c = np.asarray(costs, dtype=float)
+    u = np.asarray(upper_bounds, dtype=float)
+    n = c.shape[0]
+    if u.shape != (n,):
+        raise ValidationError("objective and box sizes differ")
+    if (u < 0).any() or not np.isfinite(u).all():
+        raise ValidationError("box bounds must be finite and nonnegative")
+    rows = np.asarray(constraints, dtype=float).reshape(-1, n) if len(constraints) else np.zeros((0, n))
+    if (rows < 0).any():
+        raise ValidationError("constraint coefficients must be nonnegative")
+    r = rows.shape[0]
+    b = rows @ u - 1.0
+    if (b < -1e-9).any():
+        bad = int(np.argmin(b))
+        raise ValidationError(f"constraint row {bad} is violated even at the box point")
+    b = np.maximum(b, 0.0)
+
+    m = r + n
+    tab = np.zeros((m + 1, n + m + 1))
+    tab[:r, :n] = rows
+    tab[r:m, :n] = np.eye(n)
+    tab[:m, n : n + m] = np.eye(m)
+    tab[:r, -1] = b
+    tab[r:m, -1] = u
+    tab[m, :n] = c  # reduced costs of max c.z
+    basis = list(range(n, n + m))
+
+    cap = solvers.PIVOTS_PER_ROW * m  # read per call, so a test can lower it
+    pivots = 0
+    while True:
+        entering = np.flatnonzero(tab[m, :-1] > 1e-9)
+        if entering.size == 0:
+            break
+        if pivots >= cap:
+            raise NumericalInstabilityError(f"simplex not optimal after {pivots} pivots")
+        pivots += 1
+        j = int(entering[0])
+        col = tab[:m, j]
+        usable = col > 1e-11
+        if not usable.any():
+            raise NumericalInstabilityError(
+                "no pivot above 1e-11 available in entering column"
+            )
+        ratios = np.where(usable, tab[:m, -1] / np.where(usable, col, 1.0), np.inf)
+        low = ratios.min()
+        tied = np.flatnonzero(ratios <= low + 1e-12)
+        i = int(min(tied, key=lambda idx: basis[idx]))
+        prow = tab[i] / tab[i, j]
+        colv = tab[:, j].copy()
+        colv[i] = 0.0
+        tab -= np.outer(colv, prow)
+        tab[i] = prow
+        basis[i] = j
+
+    z = np.zeros(n)
+    for i, bv in enumerate(basis):
+        if bv < n:
+            z[bv] = tab[i, -1]
+    x = np.clip(u - z, 0.0, u)
+    return x, float(c @ x)
 
 
 def subset_lp_rows(n, slack):

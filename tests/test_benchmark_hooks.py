@@ -47,6 +47,7 @@ LIVE = [
     ("bandit", "_ecw_plan"),
     ("bandit", "_cw_lp"),
     ("solvers", "_iter_cw_descriptors"),
+    ("solvers", "simplex_solve"),
 ]
 
 

@@ -119,6 +119,28 @@ class TestSimplex:
         with pytest.raises(ValidationError):
             simplex_solve([1.0], [[1.0]], [0.5])  # box point violates the row
 
+    @pytest.mark.parametrize(
+        "costs,rows,box",
+        [
+            ([math.nan], [[1.0]], [1.0]),  # NaN cost
+            ([math.inf], [[1.0]], [1.0]),
+            ([[1.0]], [[1.0]], [1.0]),  # 2-D costs
+            (1.0, [[1.0]], [1.0]),  # scalar costs
+            ([1.0, 1.0], [[1.0, 1.0, 1.0, 1.0]], [1.0, 1.0]),  # one row, four wide
+            ([1.0, 1.0], [[1.0, 1.0, 1.0]], [1.0, 1.0]),  # three wide
+            ([1.0, 1.0], [1.0, 1.0], [1.0, 1.0]),  # a flat row
+            ([1.0, 1.0], [[1.0, 1.0], [1.0]], [1.0, 1.0]),  # ragged
+            ([1.0], [[math.inf]], [1.0]),
+            ([1.0], [[math.nan]], [1.0]),
+            ([1.0, 1.0], [[math.nan, 1.0]], [1.0, 1.0]),
+            ([], [[]], []),  # no variables: the row cannot hold
+            (["a"], [[1.0]], [1.0]),
+        ],
+    )
+    def test_malformed_input(self, costs, rows, box):
+        with pytest.raises(ValidationError):
+            simplex_solve(costs, rows, box)
+
     def test_against_scipy_on_random_instances(self):
         rng = np.random.default_rng(41)
         for _ in range(40):
