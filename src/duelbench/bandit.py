@@ -25,15 +25,18 @@ scan runs once per round.
 
 Once the loop has converged to exploiting a candidate, the rounds until
 the next event are identical self-pair draws; ``advance_self_pairs``
-applies such a stretch in one step, so the converged regime costs
-O(K^2) per event, not per round.
+applies such a stretch in one step, bisecting over the rounds for the
+first one at which the guard or the winner's budget fails, so the
+converged regime costs O(K^2 + log T) per event, not O(K^2) per round.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
-from math import ceil, exp, inf, isfinite, log, sqrt
+from math import inf, isfinite, log, sqrt
+from numbers import Real
 
 import numpy as np
 
@@ -67,6 +70,10 @@ class AlgorithmConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValidationError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValidationError(f"{name} must be a number, got {value!r}")
         if not (self.alpha > 0 and isfinite(self.alpha)):
             raise ValidationError(f"alpha must be positive and finite, got {self.alpha!r}")
         if not (self.beta >= 0 and isfinite(self.beta)):
@@ -207,12 +214,17 @@ class RmedState:
         return self._plan
 
 
+def _count_need(alpha: float, t: int) -> float:
+    """Draws of each pair the count guard asks for at round t: alpha*sqrt(ln t)."""
+    return alpha * sqrt(log(t)) if t > 1 else 0.0
+
+
 def _first_guarded(state: RmedState, config: AlgorithmConfig):
     """First lexicographic pair failing a guard, or None."""
     if state._dirty:
         state._refresh()
     t = state.t
-    need = config.alpha * sqrt(log(t)) if t > 1 else 0.0
+    need = _count_need(config.alpha, t)
     near = inf if t <= BOOTSTRAP_ROUNDS else config.beta / log(log(t))
     n, gap = state._n, state._gap
     if min(n) >= need and min(gap) >= near:  # C-level passes; scan only on a failure
@@ -345,40 +357,13 @@ def update_and_plan(state: RmedState, config: AlgorithmConfig, pair, outcome) ->
 # converged stretches
 
 
-def _first_failing(holds, start: int, stop: int, guess: int) -> int:
+def _first_failing(holds, start: int, stop: int) -> int:
     """First round in (start, stop) where ``holds`` is false, else ``stop``.
 
-    ``holds`` must be true at ``start`` and monotone (true, then false).
-    Walking from a closed-form ``guess`` evaluates the exact predicate, so
-    float rounding in the closed form cannot move the answer.
+    ``holds`` must be monotone (true, then false) on that range.  Bisection
+    evaluates only ``holds`` itself, so no closed form can move the answer.
     """
-    r = min(max(guess, start + 1), stop)
-    while r > start + 1 and not holds(r - 1):
-        r -= 1
-    while r < stop and holds(r):
-        r += 1
-    return r
-
-
-def _exp_guess(x: float, stop: int) -> int:
-    """ceil(exp(x)) clamped to ``stop``; safe for x = inf and for overflow."""
-    return stop if not x < log(stop) else ceil(exp(x))
-
-
-def _count_guard_end(low: int, alpha: float, start: int, stop: int) -> int:
-    """First round after ``start`` at which ``low < alpha*sqrt(ln t)`` (capped at ``stop``)."""
-    q = low / alpha
-    return _first_failing(
-        lambda r: not low < alpha * sqrt(log(r)), start, stop, _exp_guess(q * q, stop)
-    )
-
-
-def _budget_end(budget: float, start: int, stop: int) -> int:
-    """First round after ``start`` at which ``budget`` falls below (1-tol) ln t (capped at ``stop``)."""
-    scale = 1.0 - FEASIBILITY_TOL
-    return _first_failing(
-        lambda r: budget >= scale * log(r), start, stop, _exp_guess(budget / scale, stop)
-    )
+    return start + 1 + bisect_left(range(start + 1, stop), True, key=lambda r: not holds(r))
 
 
 def advance_self_pairs(state: RmedState, config: AlgorithmConfig, last_round: int) -> int:
@@ -390,10 +375,12 @@ def advance_self_pairs(state: RmedState, config: AlgorithmConfig, last_round: in
     (1-tol) ln t, every round draws (ihat, ihat) and changes only
     counts[ihat][ihat] and t, until alpha*sqrt(ln t) passes the smallest
     off-diagonal count or (1-tol) ln t passes ihat's budget.  The near-tie
-    guard only loosens as t grows and a failing budget keeps failing, so
-    nothing else can end the stretch.  Rounds past ``last_round`` are left
-    alone.  Returns the number of rounds applied, 0 when round state.t
-    is not such a round; no random numbers are drawn.
+    guard only loosens as t grows, and a failing count guard or budget
+    keeps failing, so nothing else can end the stretch.  Its end is found
+    by bisection over the rounds, on the predicates a stepped round
+    evaluates.  Rounds past ``last_round`` are left alone.  Returns the
+    number of rounds applied, 0 when round state.t is not such a round;
+    no random numbers are drawn.
     """
     t = state.t
     if (
@@ -412,8 +399,13 @@ def advance_self_pairs(state: RmedState, config: AlgorithmConfig, last_round: in
         return 0
     if _confirmed_winner(state, config, log(t)) != h:
         return 0
-    end = _count_guard_end(min(state._n), config.alpha, t, last_round + 1)
-    end = _budget_end(state._budget(h, config.variant), t, end)
+    low = min(state._n)
+    end = _first_failing(
+        lambda r: not low < _count_need(config.alpha, r)
+        and _confirmed_winner(state, config, log(r)) == h,
+        t,
+        last_round + 1,
+    )
     state.counts[h][h] += end - t
     state.t = end
     state.ihat = h + 1

@@ -15,6 +15,7 @@ The diagonal is exactly 1/2.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -408,9 +409,18 @@ def builtin_dataset(name: str) -> PreferenceMatrix:
 # submatrix sampling
 
 
+def _check_integer(value, name: str):
+    """``value`` if it is an integer or an integral float, else ValidationError."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _check_seed(seed: int) -> int:
     """``seed`` as a generator seed; numpy rejects negative ones with a bare ValueError."""
-    if seed < 0:
+    if _check_integer(seed, "seed") < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
     return int(seed)
 

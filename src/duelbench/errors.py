@@ -48,7 +48,10 @@ class TooLargeError(DuelbenchError, ValueError):
 
 
 class NumericalInstabilityError(DuelbenchError, ArithmeticError):
-    """The LP solver was forced onto a pivot too small to trust."""
+    """The LP solver found no pivot large enough to trust, or hit its pivot cap.
+
+    The cap bounds the work, so reaching it does not mean the LP is ill-posed.
+    """
 
 
 class InternalInconsistencyError(DuelbenchError, RuntimeError):

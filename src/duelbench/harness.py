@@ -28,7 +28,14 @@ from .bandit import (
     select_pair,
     update_and_plan,
 )
-from .core import PreferenceMatrix, _check_seed, _copeland_sets, _regret_nums, _write_atomic
+from .core import (
+    PreferenceMatrix,
+    _check_integer,
+    _check_seed,
+    _copeland_sets,
+    _regret_nums,
+    _write_atomic,
+)
 from .errors import ParseError, TiedPreferenceError, TraceIOError, ValidationError
 
 
@@ -65,9 +72,11 @@ class RegretTrace:
 
 
 def _number(value) -> float:
-    """A JSON number as a float; strings and booleans are not numbers."""
+    """A finite JSON number as a float; strings and booleans are not numbers."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -80,7 +89,7 @@ def _checkpoint(value) -> int:
 
 def checkpoint_grid(horizon: int):
     """Log-spaced rounds ceil(10^(k/10)) up to the horizon, horizon included."""
-    if horizon < 1:
+    if _check_integer(horizon, "horizon") < 1:
         raise ValidationError(f"horizon must be at least 1, got {horizon}")
     grid = {horizon}
     k = 0
@@ -104,7 +113,7 @@ def _check_preconditions(matrix: PreferenceMatrix, config: AlgorithmConfig, hori
         raise TiedPreferenceError("strict gaps required")
     if matrix.k < 2:
         raise ValidationError("simulation needs at least two arms")
-    if horizon < 1:
+    if _check_integer(horizon, "horizon") < 1:
         raise ValidationError(f"horizon must be at least 1, got {horizon}")
     check_size(config, matrix.k)
 
@@ -141,7 +150,7 @@ def _batch_worker(args):
 
 def _simulate_seeds(matrix, config, horizon, seeds, parallelism, label, master_seed) -> RegretTrace:
     """Check the inputs, make one run per seed and aggregate the rows into a trace."""
-    if parallelism < 1:
+    if _check_integer(parallelism, "parallelism") < 1:
         raise ValidationError(f"parallelism must be at least 1, got {parallelism}")
     _check_preconditions(matrix, config, horizon)
     jobs = [(matrix, config, horizon, s) for s in seeds]
@@ -189,8 +198,9 @@ def simulate_batch(
     label: str | None = None,
 ) -> RegretTrace:
     """Aggregate over independent runs; output is identical for any parallelism."""
-    if runs < 1:
+    if _check_integer(runs, "runs") < 1:
         raise ValidationError(f"need at least one run, got {runs}")
+    _check_integer(master_seed, "master_seed")
     seeds = [split_seed(master_seed, r) for r in range(runs)]
     return _simulate_seeds(matrix, config, horizon, seeds, parallelism, label, master_seed)
 
@@ -211,6 +221,8 @@ def _validate_trace(trace: RegretTrace):
         raise ValidationError("per-run rows do not match checkpoints")
     if list(trace.checkpoints) != sorted(set(trace.checkpoints)):
         raise ValidationError("checkpoints must be strictly increasing")
+    if trace.checkpoints[0] < 1:
+        raise ValidationError(f"checkpoints must be at least 1, got {trace.checkpoints[0]}")
 
 
 def trace_filename(dataset: str, variant: str, horizon: int, runs: int, seed: int, fmt: str) -> str:
@@ -248,7 +260,7 @@ def read_trace(source, format: str = "json") -> RegretTrace:
     """Read a JSON trace back (the lossless format).
 
     Raises TraceIOError if the source cannot be read and ParseError if it
-    is not a JSON trace.
+    is not a JSON trace, including one whose arrays do not line up.
     """
     if format != "json":
         raise ValidationError("only JSON traces can be read back")
@@ -263,7 +275,7 @@ def read_trace(source, format: str = "json") -> RegretTrace:
         raise TraceIOError(f"cannot read trace from {source}: {exc}") from exc
     try:
         trace = RegretTrace.from_json_dict(json.loads(text))
+        _validate_trace(trace)  # its ValidationError is a ValueError
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ParseError(f"malformed trace ({type(exc).__name__}: {exc})") from None
-    _validate_trace(trace)
     return trace

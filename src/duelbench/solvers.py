@@ -41,7 +41,14 @@ from .constraints import (
     pair_count,
     pair_index,
 )
-from .core import PreferenceMatrix, _copeland_sets, _regret_nums, gap_divergence, kl_bernoulli
+from .core import (
+    PreferenceMatrix,
+    _check_integer,
+    _copeland_sets,
+    _regret_nums,
+    gap_divergence,
+    kl_bernoulli,
+)
 from .errors import (
     NumericalInstabilityError,
     TiedPreferenceError,
@@ -52,14 +59,15 @@ from .errors import (
 _K_MAX_ENV = "DUELBENCH_KMAX"
 DEFAULT_K_MAX = 8
 
-#: simplex_solve gives up after this many pivots per tableau row (Bland's
-#: rule cannot cycle, so only numerical trouble can get near the cap).
+#: simplex_solve gives up after this many pivots per tableau row.  The cap
+#: bounds the work: Bland's rule cannot cycle, but it can take very many
+#: pivots, so a well-posed LP can reach the cap too.
 PIVOTS_PER_ROW = 50
 
 
 def check_gate(gate: int, name: str = "K_max") -> int:
-    """``gate`` if it is nonnegative (0 skips every exact LP), else ValidationError."""
-    if gate < 0:
+    """``gate`` if it is a nonnegative integer (0 skips every exact LP), else ValidationError."""
+    if _check_integer(gate, name) < 0:
         raise ValidationError(f"{name} must be a nonnegative integer, got {gate}")
     return gate
 

@@ -16,6 +16,7 @@ from duelbench import (
     ValidationError,
     builtin_dataset,
     checkpoint_grid,
+    lower_bound,
     read_trace,
     save_matrix,
     simulate,
@@ -89,6 +90,43 @@ class TestSimulate:
         # numpy raises a bare ValueError for a negative seed
         with pytest.raises(ValidationError, match="seed"):
             simulate(cyclic, AlgorithmConfig(), 10, run_seed=-1)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: simulate(m, AlgorithmConfig(), 100.5, run_seed=0),
+            lambda m: simulate(m, AlgorithmConfig(), "100", run_seed=0),
+            lambda m: simulate(m, AlgorithmConfig(), 100, run_seed=1.5),
+            lambda m: simulate_batch(m, AlgorithmConfig(), 100, runs=2.5, master_seed=0),
+            lambda m: simulate_batch(m, AlgorithmConfig(), 100, runs=True, master_seed=0),
+            lambda m: simulate_batch(m, AlgorithmConfig(), 100, runs=2, master_seed=0.5),
+            lambda m: simulate_batch(m, AlgorithmConfig(), 100, 2, 0, parallelism=1.5),
+            lambda m: AlgorithmConfig(k_max=2.5),
+            lambda m: lower_bound(m, k_max=2.5),
+            lambda m: AlgorithmConfig(alpha="3"),
+            lambda m: AlgorithmConfig(beta=None),
+        ],
+        ids=[
+            "fractional-horizon",
+            "string-horizon",
+            "fractional-run-seed",
+            "fractional-runs",
+            "bool-runs",
+            "fractional-master-seed",
+            "fractional-parallelism",
+            "fractional-config-k-max",
+            "fractional-lower-bound-k-max",
+            "string-alpha",
+            "null-beta",
+        ],
+    )
+    def test_numeric_arguments_are_type_checked(self, cyclic, call):
+        with pytest.raises(ValidationError) as exc:
+            call(cyclic)
+        assert exc.value.exit_code == 2
+
+    def test_integral_float_horizon_runs(self, cyclic):
+        assert simulate(cyclic, AlgorithmConfig(), 1e2, run_seed=0).checkpoints[-1] == 100
 
     def test_regret_ledger_matches_counts_exactly(self, cyclic):
         # the harness reads regret from the counts at each checkpoint; the
@@ -254,6 +292,13 @@ class TestPersistence:
             _trace_text(mean=[0.0, "1e3"]),
             _trace_text(std=[0.0, None]),
             _trace_text(meta=[]),
+            _trace_text(mean=[0.0]),
+            _trace_text(checkpoints=[2, 1]),
+            _trace_text(checkpoints=[], mean=[], std=[], runs=[[]]),
+            _trace_text(checkpoints=[-5, 2]),
+            _trace_text(checkpoints=[0, 2]),
+            _trace_text(mean=[0.0, math.nan]),
+            _trace_text(runs=[[0.0, math.inf]]),
         ],
         ids=[
             "bad-json",
@@ -266,6 +311,13 @@ class TestPersistence:
             "string-mean-entry",
             "null-std-entry",
             "meta-not-an-object",
+            "length-mismatch",
+            "unsorted-checkpoints",
+            "empty-checkpoints",
+            "negative-checkpoint",
+            "zero-checkpoint",
+            "nan-mean-entry",
+            "infinite-run-entry",
         ],
     )
     def test_malformed_trace_is_a_parse_error(self, text, tmp_path):

@@ -2,9 +2,10 @@
 
 ``harness._run_single`` hands every stretch of identical exploit rounds to
 ``bandit.advance_self_pairs``; ``oracles.run_per_round`` steps each round.
-Their rows and terminal states must match exactly, and each stretch
-boundary must be the first round at which the per-round float predicate
-flips.
+Their rows and terminal states must match exactly.  A stretch ends at
+the first round at which a per-round float predicate flips;
+``_first_failing`` finds that round by bisection and must agree with a
+scan over every round.
 """
 
 import math
@@ -16,13 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from duelbench import AlgorithmConfig, RmedState, builtin_dataset, select_pair, update_and_plan
-from duelbench.bandit import (
-    BOOTSTRAP_ROUNDS,
-    _budget_end,
-    _count_guard_end,
-    _first_failing,
-    advance_self_pairs,
-)
+from duelbench.bandit import BOOTSTRAP_ROUNDS, _first_failing, advance_self_pairs
 from duelbench.constraints import FEASIBILITY_TOL
 from duelbench.core import _copeland_sets, _regret_nums
 from duelbench.harness import _run_single
@@ -157,7 +152,7 @@ class TestBoundaries:
             starts.add(BOOTSTRAP_ROUNDS + 1)
         for start in starts:
             assert holds(start)
-            assert _count_guard_end(low, alpha, start, stop) == first_failing_scan(holds, start, stop)
+            assert _first_failing(holds, start, stop) == first_failing_scan(holds, start, stop)
 
     @pytest.mark.parametrize("start", [17, 40, 1000])
     def test_count_guard_starts_anywhere_inside(self, start):
@@ -165,27 +160,41 @@ class TestBoundaries:
         holds = count_holds(low, alpha)
         for s in (start, 8000, 8102):
             if holds(s):
-                assert _count_guard_end(low, alpha, s, 20_000) == first_failing_scan(holds, s, 20_000)
+                assert _first_failing(holds, s, 20_000) == first_failing_scan(holds, s, 20_000)
 
-    @pytest.mark.parametrize("guess", [0, 17, 500, 8103, 8104, 8105, 9000, 10**9])
-    def test_walk_corrects_any_guess(self, guess):
-        holds = count_holds(9, 3.0)
-        assert first_failing_scan(holds, 17, 20_000) == 8104
-        assert _first_failing(holds, 17, 20_000, guess) == 8104
+    @settings(max_examples=300, deadline=None)
+    @given(
+        start=st.one_of(st.integers(0, 100), st.integers(10**17, 10**18)),
+        width=st.one_of(st.just(1), st.integers(1, 3000)),
+        edge=st.integers(1, 3005),
+    )
+    def test_bisection_matches_scan(self, start, width, edge):
+        # the edge falls at start+1, inside the range, at stop or past it
+        stop = start + width
+        seen = []
+
+        def holds(r):
+            seen.append(r)
+            return r < start + edge
+
+        found = _first_failing(holds, start, stop)
+        assert all(start < r < stop for r in seen)
+        assert len(seen) <= math.ceil(math.log2(width))
+        assert found == first_failing_scan(holds, start, stop)
 
     def test_count_guard_huge_gap_is_clamped(self):
-        # (low/alpha)^2 overflows exp, and low/alpha can overflow to inf
-        assert _count_guard_end(10**6, 1e-3, 100, 5_000) == 5_000
-        assert _count_guard_end(10**6, 1e-308, 100, 5_000) == 5_000
+        # (low/alpha)^2 would overflow exp, and low/alpha can overflow to inf
+        assert _first_failing(count_holds(10**6, 1e-3), 100, 5_000) == 5_000
+        assert _first_failing(count_holds(10**6, 1e-308), 100, 5_000) == 5_000
 
     def test_infinite_budget(self):
-        assert _budget_end(math.inf, 20, 1_000) == 1_000
+        assert _first_failing(budget_holds(math.inf), 20, 1_000) == 1_000
 
     @pytest.mark.parametrize("budget", [710.0, 1e6, 1e308])
     def test_budget_exp_overflows(self, budget):
         with pytest.raises(OverflowError):
             math.exp(budget / SCALE)
-        assert _budget_end(budget, 20, 1_000) == 1_000
+        assert _first_failing(budget_holds(budget), 20, 1_000) == 1_000
 
     @pytest.mark.parametrize("r0", [17, 18, 100, 2981, 8103, 65_537, 99_999])
     def test_threshold_lands_exactly_on_budget(self, r0):
@@ -193,21 +202,22 @@ class TestBoundaries:
         budget = SCALE * math.log(r0)
         holds = budget_holds(budget)
         stop = r0 + 100
-        assert _budget_end(budget, 17, stop) == first_failing_scan(holds, 17, stop)
-        assert _budget_end(budget, r0, stop) == r0 + 1
+        assert _first_failing(holds, 17, stop) == first_failing_scan(holds, 17, stop)
+        assert _first_failing(holds, r0, stop) == r0 + 1
         below = math.nextafter(budget, 0.0)
         if below >= SCALE * math.log(17):
-            assert _budget_end(below, 17, stop) == first_failing_scan(budget_holds(below), 17, stop)
+            holds = budget_holds(below)
+            assert _first_failing(holds, 17, stop) == first_failing_scan(holds, 17, stop)
 
     @pytest.mark.parametrize("budget", [2.9, 3.0, 5.5, 8.0, 9.2103, 11.5])
     def test_budget_grid(self, budget):
         holds = budget_holds(budget)
         stop = 200_000
-        assert _budget_end(budget, 17, stop) == first_failing_scan(holds, 17, stop)
+        assert _first_failing(holds, 17, stop) == first_failing_scan(holds, 17, stop)
 
     def test_stop_bounds_the_answer(self):
-        assert _budget_end(9.0, 17, 18) == 18
-        assert _count_guard_end(9, 3.0, 17, 18) == 18
+        assert _first_failing(budget_holds(9.0), 17, 18) == 18
+        assert _first_failing(count_holds(9, 3.0), 17, 18) == 18
 
 
 def converged_state(matrix, t=2000, n=1000):
@@ -279,6 +289,15 @@ class TestAdvance:
         pair = select_pair(skipped, cfg)
         update_and_plan(skipped, cfg, pair, 1 if pair[0] != pair[1] else None)
         assert pair != (1, 1) or skipped.lc != [(0, 0)]
+
+    @pytest.mark.parametrize("last_round", [10**12, 10**18])
+    def test_far_checkpoint_applies_the_same_rounds(self, cyclic, last_round):
+        # the budget ends the stretch near e^10.07 however far the checkpoint is
+        cfg = AlgorithmConfig()
+        near, far = converged_state(cyclic, n=500), converged_state(cyclic, n=500)
+        assert advance_self_pairs(near, cfg, 10**6) == 21_571
+        assert advance_self_pairs(far, cfg, last_round) == 21_571
+        assert snapshot(far) == snapshot(near)
 
     def test_not_at_fixed_point(self, cyclic):
         cfg = AlgorithmConfig()
