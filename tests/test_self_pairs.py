@@ -162,6 +162,20 @@ class TestBoundaries:
             if holds(s):
                 assert _first_failing(holds, s, 20_000) == first_failing_scan(holds, s, 20_000)
 
+    @pytest.mark.parametrize("guess", [0, 17, 500, 8103, 8104, 8105, 9000, 10**9])
+    def test_walk_corrects_any_guess(self, guess):
+        # a second monotone rule, first failing at round guess, conjoined with
+        # the count guard as advance_self_pairs conjoins its rules: whichever
+        # side of 8104 the guess lies, the stretch ends at the earlier edge
+        holds = count_holds(9, 3.0)
+        assert first_failing_scan(holds, 17, 20_000) == 8104
+
+        def both(r):
+            return holds(r) and r < guess
+
+        assert _first_failing(both, 17, 20_000) == first_failing_scan(both, 17, 20_000)
+        assert _first_failing(both, 17, 20_000) == min(8104, max(guess, 18))
+
     @settings(max_examples=300, deadline=None)
     @given(
         start=st.one_of(st.integers(0, 100), st.integers(10**17, 10**18)),
