@@ -13,15 +13,20 @@ directly (zero at t=1), and normalized counts divide by ln(max(t, 2)).
 
 A draw of a distinct pair updates that pair's entries in flat per-pair
 lists of N_ij and |muhat_ij - 1/2|, which the guard scan reads, and
-marks the pair as drawn.  The next plan step rewrites only the drawn
-pairs' divergences and weights and drops only the cached pieces of the
-budgets and plans that read them (``constraints.GroupCache``, one piece
-per winner and rival), so an exploring round costs work on the drawn
-pair's rows and columns rather than a K x K rebuild.  Every float equals
-the one a full rebuild gives.  A drawn estimate that changes side of 1/2
-changes the Copeland sets, and then everything is rebuilt.  Rounds that
-change nothing but t (self-pair draws) reuse the plan, and the guard
-scan runs once per round.
+marks the pair as drawn.  The guard first tests cached floors, lower
+bounds on the smallest N_ij and the smallest gap: a draw only raises a
+count and lowers the gap floor when it writes a smaller gap, so a pass
+on the floors is a pass of every pair, and only a failure takes the
+exact minima and, if they fail too, scans the pairs.  The next plan
+step rewrites only the drawn pairs' divergences and weights, with one
+numpy log call (``core.gap_divergences``), and drops only the cached
+pieces of the budgets and plans that read them
+(``constraints.GroupCache``, one piece per winner and rival), so an
+exploring round costs work on the drawn pair's rows and columns rather
+than a K x K rebuild.  Every float equals the one a full rebuild gives.
+A drawn estimate that changes side of 1/2 changes the Copeland sets,
+and then everything is rebuilt.  Rounds that change nothing but t
+(self-pair draws) reuse the plan, and the guard runs once per round.
 
 Once the loop has converged to exploiting a candidate, the rounds until
 the next event are identical self-pair draws; ``advance_self_pairs``
@@ -48,7 +53,7 @@ from .constraints import (
     min_lhs_ecw,
     pair_index,
 )
-from .core import _copeland_sets, _regret_nums, gap_divergence
+from .core import _copeland_sets, _regret_nums, gap_divergence, gap_divergences
 from .errors import InternalInconsistencyError, ValidationError
 from .solvers import _best_plan, _cw_lp, _ecw_plan, check_gate, check_lp_size
 
@@ -105,6 +110,7 @@ class RmedState:
         "_pairs",
         "_n",
         "_gap",
+        "_floor",
         "_touched",
         "_dirty",
         "_sets",
@@ -134,6 +140,7 @@ class RmedState:
         # N_ij and |muhat_ij - 1/2| per pair, in _pairs order, kept by every draw
         self._n = [0] * len(self._pairs)
         self._gap = [0.0] * len(self._pairs)
+        self._floor = (0, 0.0)  # lower bounds on (min(_n), min(_gap))
         self._touched = set()  # indices of the pairs drawn since the last _update
         self._dirty = True  # rebuild everything from counts and muhat
         self._sets = None
@@ -158,6 +165,7 @@ class RmedState:
         self._weights = (np.array(counts, dtype=float) * div).tolist()
         self._n = [counts[i][j] for i, j in self._pairs]
         self._gap = [abs(muhat[i][j] - 0.5) for i, j in self._pairs]
+        self._floor = (min(self._n), min(self._gap))
         self._touched = set()
         self._groups = GroupCache()
         self._budgets = {}
@@ -184,9 +192,7 @@ class RmedState:
             if (mu < 0.5) != (j in sup[i]) or (mu > 0.5) != (j in inf_sets[i]):
                 self._refresh()
                 return
-        # through numpy, whose log can differ from math.log in the last bit
-        div = gap_divergence([muhat[i][j] for i, j in drawn] + [muhat[j][i] for i, j in drawn])
-        div = div.tolist()
+        div = gap_divergences([muhat[i][j] for i, j in drawn] + [muhat[j][i] for i, j in drawn])
         for (i, j), dij, dji in zip(drawn, div, div[len(drawn) :]):
             n = self.counts[i][j]
             self._div[i][j], self._div[j][i] = dij, dji
@@ -220,14 +226,23 @@ def _count_need(alpha: float, t: int) -> float:
 
 
 def _first_guarded(state: RmedState, config: AlgorithmConfig):
-    """First lexicographic pair failing a guard, or None."""
+    """First lexicographic pair failing a guard, or None.
+
+    Every pair passes when the floors, lower bounds on min(_n) and
+    min(_gap), pass; only when they do not are the exact minima taken,
+    and the pairs scanned only when those fail too.
+    """
     if state._dirty:
         state._refresh()
     t = state.t
     need = _count_need(config.alpha, t)
     near = inf if t <= BOOTSTRAP_ROUNDS else config.beta / log(log(t))
+    low, close = state._floor
+    if low >= need and close >= near:
+        return None
     n, gap = state._n, state._gap
-    if min(n) >= need and min(gap) >= near:  # C-level passes; scan only on a failure
+    low, close = state._floor = (min(n), min(gap))
+    if low >= need and close >= near:
         return None
     for p, count in enumerate(n):
         if count < need or gap[p] < near:
@@ -341,8 +356,10 @@ def update_and_plan(state: RmedState, config: AlgorithmConfig, pair, outcome) ->
         state.muhat[l][m] = mu
         state.muhat[m][l] = 1.0 - mu
         p = pair_index(l, m)
-        state._n[p] += 1
-        state._gap[p] = abs(mu - 0.5)
+        state._n[p] += 1  # a count only rises, so the count floor stays a bound
+        gap = state._gap[p] = abs(mu - 0.5)
+        if gap < state._floor[1]:
+            state._floor = (state._floor[0], gap)
         state._touched.add(p)
     else:
         state.counts[l][l] += 1
@@ -399,10 +416,14 @@ def advance_self_pairs(state: RmedState, config: AlgorithmConfig, last_round: in
         return 0
     if _confirmed_winner(state, config, log(t)) != h:
         return 0
-    low = min(state._n)
+    # Inside the stretch no tally moves but counts[h][h], so the winners and
+    # their budgets stay fixed.  Those ahead of h fell short of the threshold
+    # (1-tol) ln t at round t, and it only grows with r, so h stays the
+    # confirmed winner exactly while its own budget clears the threshold.
+    low, budget = min(state._n), state._budget(h, config.variant)
     end = _first_failing(
-        lambda r: not low < _count_need(config.alpha, r)
-        and _confirmed_winner(state, config, log(r)) == h,
+        lambda r: low >= _count_need(config.alpha, r)
+        and budget >= (1.0 - FEASIBILITY_TOL) * log(r),
         t,
         last_round + 1,
     )

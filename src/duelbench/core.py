@@ -33,6 +33,7 @@ from .errors import (
 
 SYMMETRY_TOL = 1e-9  # |mu_ij + mu_ji - 1| allowed in raw input
 SUBMATRIX_ATTEMPT_CAP = 100_000
+_LN2 = math.log(2.0)
 
 
 def kl_bernoulli(p: float, q: float) -> float:
@@ -53,21 +54,41 @@ def kl_bernoulli(p: float, q: float) -> float:
     return total
 
 
-def gap_divergence(values: np.ndarray) -> np.ndarray:
-    """Elementwise d_KL(mu, 1/2) for a matrix of probabilities.
+def gap_divergences(values) -> list:
+    """d_KL(p, 1/2) for each float p of ``values``, as a list of floats.
 
-    Symmetric in mu <-> 1-mu, so the result is a symmetric matrix with a
-    zero diagonal.  Entries equal to exactly 1/2 map to 0.
+    An entry p strictly inside (0, 1) maps to
+    p*ln(2p) + (1-p)*ln(2(1-p)), and a negative result of round-off near
+    1/2 to 0, so 1/2 itself maps to 0.  Exact 0 and 1 (-0.0 included)
+    map to ln 2.  Every other entry, out of range or NaN, maps to 0.
+
+    The logs come from one numpy call over [2p...] + [2(1-p)...]: numpy's
+    log can differ from math.log in the last bit, and every caller must
+    see numpy's bits.  The products and the sum are IEEE operations, so
+    Python floats give the bits numpy would.
+    """
+    inner = [p for p in values if 0.0 < p < 1.0]
+    div = []
+    if inner:
+        twice = [2.0 * p for p in inner] + [2.0 * (1.0 - p) for p in inner]
+        logs = np.log(np.array(twice, dtype=float)).tolist()
+        div = [p * a + (1.0 - p) * b for p, a, b in zip(inner, logs, logs[len(inner) :])]
+    if len(div) < len(values):
+        rest = iter(div)
+        div = [next(rest) if 0.0 < p < 1.0 else _LN2 if p == 0.0 or p == 1.0 else 0.0 for p in values]
+    return [d if d > 0.0 else 0.0 for d in div]
+
+
+def gap_divergence(values) -> np.ndarray:
+    """Elementwise d_KL(mu, 1/2) for an array of probabilities.
+
+    ``gap_divergences`` over the flattened entries, mapped as it maps
+    them (0 and 1 to ln 2, 1/2, out-of-range and NaN entries to 0), in
+    the shape of ``values``.  Symmetric in mu <-> 1-mu, so a preference
+    matrix gives a symmetric matrix with a zero diagonal.
     """
     p = np.asarray(values, dtype=float)
-    out = np.zeros_like(p)
-    inner = (p > 0.0) & (p < 1.0)
-    pi = p[inner]
-    out[inner] = pi * np.log(2.0 * pi) + (1.0 - pi) * np.log(2.0 * (1.0 - pi))
-    out[(p == 0.0) | (p == 1.0)] = math.log(2.0)
-    # tiny negative round-off near p = 1/2 would poison downstream rates
-    np.maximum(out, 0.0, out=out)
-    return out
+    return np.array(gap_divergences(p.ravel().tolist()), dtype=float).reshape(p.shape)
 
 
 class PreferenceMatrix:

@@ -10,6 +10,9 @@ round at a time, the reference for the harness's stretch skipping;
 ``run_rebuilt`` also rebuilds the bandit's caches before every plan, the
 reference for their draw-by-draw upkeep.  ``simplex_dense`` is the
 simplex on the full tableau, the reference for the condensed one.
+``gap_divergence_numpy`` is the divergence in numpy array operations,
+the reference for ``core.gap_divergences``; ``first_guarded_scan`` the
+guard as a scan over the tallies, the reference for the bandit's floors.
 """
 
 import copy
@@ -19,11 +22,44 @@ import math
 import numpy as np
 
 from duelbench import solvers
-from duelbench.bandit import RmedState, random_baseline_select, select_pair, update_and_plan
+from duelbench.bandit import (
+    BOOTSTRAP_ROUNDS,
+    RmedState,
+    random_baseline_select,
+    select_pair,
+    update_and_plan,
+)
 from duelbench.core import _copeland_sets, _regret_nums, gap_divergence
 from duelbench.errors import NumericalInstabilityError, ValidationError
 from duelbench.harness import _check_preconditions, checkpoint_grid
 from duelbench.solvers import simplex_solve
+
+
+def gap_divergence_numpy(values):
+    """Elementwise d_KL(mu, 1/2) in numpy array operations."""
+    p = np.asarray(values, dtype=float)
+    out = np.zeros_like(p)
+    inner = (p > 0.0) & (p < 1.0)
+    pi = p[inner]
+    out[inner] = pi * np.log(2.0 * pi) + (1.0 - pi) * np.log(2.0 * (1.0 - pi))
+    out[(p == 0.0) | (p == 1.0)] = math.log(2.0)
+    # tiny negative round-off near p = 1/2 would poison downstream rates
+    np.maximum(out, 0.0, out=out)
+    return out
+
+
+def first_guarded_scan(state, config):
+    """First 0-based pair (i, j), i > j, in lexicographic order that is drawn
+    fewer than alpha*sqrt(ln t) times or whose estimate lies closer to 1/2
+    than beta / ln ln t (every pair through the bootstrap rounds), or None."""
+    t = state.t
+    need = config.alpha * math.sqrt(math.log(t)) if t > 1 else 0.0
+    near = math.inf if t <= BOOTSTRAP_ROUNDS else config.beta / math.log(math.log(t))
+    for i in range(state.k):
+        for j in range(i):
+            if state.counts[i][j] < need or abs(state.muhat[i][j] - 0.5) < near:
+                return i, j
+    return None
 
 
 def sign_sets(values):

@@ -24,9 +24,9 @@ from duelbench import (
     regret_table,
     sample_submatrix,
 )
-from duelbench.core import _copeland_sets
+from duelbench.core import _copeland_sets, gap_divergences
 from duelbench.errors import DomainError
-from oracles import sign_sets
+from oracles import gap_divergence_numpy, sign_sets
 
 
 def direct_kl(p, q):
@@ -73,6 +73,54 @@ class TestKl:
                 assert d[i, j] == pytest.approx(
                     kl_bernoulli(cyclic.values[i, j], 0.5), abs=1e-15
                 )
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+# every estimate w/n a pair can take in its first 399 draws, each value once
+ESTIMATES = sorted({w / n for n in range(1, 400) for w in range(n + 1)})
+
+
+class TestDivergenceKernel:
+    """``gap_divergences`` gives the bits of the numpy array formula.
+
+    Only the log must be numpy's (math.log differs from it in the last bit
+    on some of these estimates); the products and the sum are IEEE
+    operations either way.
+    """
+
+    def test_every_estimate_as_one_vector(self):
+        assert bits(gap_divergences(ESTIMATES)) == bits(gap_divergence_numpy(ESTIMATES))
+
+    def test_every_estimate_as_a_drawn_pair(self):
+        # the per-draw update passes [muhat_ij, muhat_ji]
+        mismatched = [
+            p
+            for p in ESTIMATES
+            if bits(gap_divergences([p, 1.0 - p])) != bits(gap_divergence_numpy([p, 1.0 - p]))
+        ]
+        assert mismatched == []
+
+    def test_edge_values(self):
+        tiny = 5e-324
+        ends = [0.0, 1.0, 0.5, -0.0]
+        outside = [-tiny, 1.0 + 2**-52, -1.0, 2.0, math.inf, -math.inf, math.nan]
+        values = ends + outside + [tiny, 1.0 - 2**-53, math.nextafter(0.5, 0.0)]
+        got = gap_divergences(values)
+        assert bits(got) == bits(gap_divergence_numpy(values))
+        ln2 = math.log(2.0)
+        assert got[:11] == [ln2, ln2, 0.0, ln2] + [0.0] * 7
+        assert all(d >= 0.0 for d in got)
+        assert gap_divergences([]) == []
+
+    @pytest.mark.parametrize("shape", [(), (3,), (5, 5), (2, 3, 4)])
+    def test_array_keeps_shape_and_bits(self, shape):
+        values = np.random.default_rng(len(shape)).uniform(-0.1, 1.1, size=shape)
+        got = gap_divergence(values)
+        assert isinstance(got, np.ndarray) and got.shape == shape and got.dtype == float
+        assert bits(got.ravel()) == bits(gap_divergence_numpy(values).ravel())
 
 
 class TestCopeland:

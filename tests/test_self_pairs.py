@@ -5,9 +5,11 @@
 Their rows and terminal states must match exactly.  A stretch ends at
 the first round at which a per-round float predicate flips;
 ``_first_failing`` finds that round by bisection and must agree with a
-scan over every round.
+scan over every round.  The guard tests cached floors before it scans;
+its verdict must equal a scan over the tallies.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -17,12 +19,12 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from duelbench import AlgorithmConfig, RmedState, builtin_dataset, select_pair, update_and_plan
-from duelbench.bandit import BOOTSTRAP_ROUNDS, _first_failing, advance_self_pairs
+from duelbench.bandit import BOOTSTRAP_ROUNDS, _first_failing, _first_guarded, advance_self_pairs
 from duelbench.constraints import FEASIBILITY_TOL
 from duelbench.core import _copeland_sets, _regret_nums
 from duelbench.harness import _run_single
 from conftest import random_matrix
-from oracles import assert_caches_match_a_rebuild, run_per_round
+from oracles import assert_caches_match_a_rebuild, first_guarded_scan, run_per_round
 
 SCALE = 1.0 - FEASIBILITY_TOL
 
@@ -350,6 +352,62 @@ class TestAdvance:
         assert advance_self_pairs(state, cfg, 5000) == 0
 
 
+def assert_guard_matches_the_scan(state, config):
+    """The floors bound the minima, and the guard's verdict is the scan's.
+
+    The verdict is taken on a copy, so the run under test is left as it is.
+    """
+    low, close = state._floor
+    assert low <= min(state._n)
+    assert close <= min(state._gap)
+    assert _first_guarded(copy.deepcopy(state), config) == first_guarded_scan(state, config)
+
+
+class TestGuardFloors:
+    def draw(self, state, pair, outcome, rounds):
+        random = AlgorithmConfig(variant="random")  # accepts any pair, never plans
+        for _ in range(rounds):
+            update_and_plan(state, random, pair, outcome)
+
+    def test_a_smaller_gap_lowers_the_floor(self, cyclic):
+        # pair (4, 3) at 0.51 is the closest to a tie, just outside beta / ln ln t
+        cfg = AlgorithmConfig()
+        state = converged_state(cyclic)
+        set_pair(state, 3, 2, 1000, 0.51)
+        assert state._floor[1] == min(state._gap) == abs(0.51 - 0.5)
+        assert _first_guarded(state, cfg) is None
+        # eleven losses of arm 4 bring it to 510/1011, inside the near-tie band
+        self.draw(state, (4, 3), 0, 11)
+        assert state._floor[1] == min(state._gap) == abs(510 / 1011 - 0.5)
+        assert_guard_matches_the_scan(state, cfg)
+        assert _first_guarded(state, cfg) == (3, 2)
+
+    def test_argmin_gap_rising_leaves_a_stale_floor(self, cyclic):
+        cfg = AlgorithmConfig()
+        state = converged_state(cyclic)
+        set_pair(state, 3, 2, 1000, 0.502)
+        assert _first_guarded(state, cfg) == (3, 2) == first_guarded_scan(state, cfg)
+        # ten wins of arm 4 take it to 512/1010, out of the near-tie band; the
+        # floor keeps the old gap, below every pair's
+        self.draw(state, (4, 3), 1, 10)
+        stale = state._floor[1]
+        assert stale == abs(502 / 1000 - 0.5) < min(state._gap)
+        assert_guard_matches_the_scan(state, cfg)
+        assert _first_guarded(state, cfg) is None
+        assert state._floor == (min(state._n), min(state._gap))  # retaken exactly
+
+    def test_stale_count_floor_falls_back_to_the_scan(self, cyclic):
+        # the least-drawn pair is drawn past the count guard; the floor lags
+        cfg = AlgorithmConfig()
+        state = converged_state(cyclic)
+        set_pair(state, 3, 2, 5, cyclic.values[3, 2])  # 3 sqrt(ln 2000) > 5
+        assert _first_guarded(state, cfg) == (3, 2)
+        self.draw(state, (4, 3), 1, 20)
+        assert state._floor[0] == 5 < min(state._n)
+        assert_guard_matches_the_scan(state, cfg)
+        assert _first_guarded(state, cfg) is None
+
+
 class SteppedRun(RuleBasedStateMachine):
     """One run driven round by round and stretch by stretch, checked after every step.
 
@@ -358,7 +416,8 @@ class SteppedRun(RuleBasedStateMachine):
     hold: L_C sorted without duplicates, the pairs still to draw in this
     pass exactly ``lc[cursor:]``, and nothing queued for the next pass
     among them.  The planning caches, kept up to date draw by draw, must
-    equal a full rebuild from the tallies.
+    equal a full rebuild from the tallies, and the guard floors must bound
+    the minima they stand for, with the guard's verdict that of a scan.
     """
 
     @initialize(
@@ -402,6 +461,10 @@ class SteppedRun(RuleBasedStateMachine):
     @invariant()
     def caches_match_a_rebuild(self):
         assert_caches_match_a_rebuild(self.state, self.config.variant)
+
+    @invariant()
+    def guard_matches_the_scan(self):
+        assert_guard_matches_the_scan(self.state, self.config)
 
 
 TestSteppedRun = SteppedRun.TestCase
