@@ -40,8 +40,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
-from math import inf, isfinite, log, sqrt
-from numbers import Real
+from math import inf, log, sqrt
 
 import numpy as np
 
@@ -53,9 +52,16 @@ from .constraints import (
     min_lhs_ecw,
     pair_index,
 )
-from .core import _copeland_sets, _regret_nums, gap_divergence, gap_divergences
+from .core import (
+    _check_integer,
+    _check_real,
+    _copeland_sets,
+    _regret_nums,
+    gap_divergence,
+    gap_divergences,
+)
 from .errors import InternalInconsistencyError, ValidationError
-from .solvers import _best_plan, _cw_lp, _ecw_plan, check_gate, check_lp_size
+from .solvers import _best_plan, _cw_lp, _ecw_plan, check_lp_size
 
 DEFAULT_ALPHA = 3.0
 DEFAULT_BETA = 0.01
@@ -75,16 +81,15 @@ class AlgorithmConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValidationError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        for name in ("alpha", "beta"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise ValidationError(f"{name} must be a number, got {value!r}")
-        if not (self.alpha > 0 and isfinite(self.alpha)):
-            raise ValidationError(f"alpha must be positive and finite, got {self.alpha!r}")
-        if not (self.beta >= 0 and isfinite(self.beta)):
-            raise ValidationError(f"beta must be nonnegative and finite, got {self.beta!r}")
+        alpha, beta = _check_real(self.alpha, "alpha"), _check_real(self.beta, "beta")
+        if alpha <= 0:
+            raise ValidationError(f"alpha must be positive, got {alpha!r}")
+        if beta < 0:
+            raise ValidationError(f"beta must be nonnegative, got {beta!r}")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
         if self.k_max is not None:
-            check_gate(self.k_max)
+            object.__setattr__(self, "k_max", _check_integer(self.k_max, "K_max", 0))
 
 
 def check_size(config: AlgorithmConfig, k: int) -> None:
@@ -124,9 +129,7 @@ class RmedState:
     )
 
     def __init__(self, k: int):
-        if k < 2:
-            raise ValidationError(f"need at least two arms, got K={k}")
-        self.k = k
+        k = self.k = _check_integer(k, "K", 2)
         self.t = 1
         self.counts = [[0] * k for _ in range(k)]
         self.wins = [[0] * k for _ in range(k)]
@@ -270,8 +273,7 @@ def select_pair(state: RmedState, config: AlgorithmConfig):
 
 def random_baseline_select(rng: np.random.Generator, k: int):
     """Uniform draw over the K(K-1)/2 unordered distinct pairs, 1-based."""
-    if k < 2:
-        raise ValidationError(f"need at least two arms, got K={k}")
+    k = _check_integer(k, "K", 2)
     idx = int(rng.integers(k * (k - 1) // 2))
     # invert the lexicographic pair index
     i = 1
@@ -330,9 +332,8 @@ def update_and_plan(state: RmedState, config: AlgorithmConfig, pair, outcome) ->
     self-pairs.  Invalid input raises ValidationError before any tally
     changes.
     """
-    l, m = pair[0] - 1, pair[1] - 1
-    if not (0 <= l < state.k and 0 <= m < state.k):
-        raise ValidationError(f"pair {pair} out of range for K={state.k}")
+    l = _check_integer(pair[0], "first arm of the pair", 1, state.k) - 1
+    m = _check_integer(pair[1], "second arm of the pair", 1, state.k) - 1
     # phase is decided on the pre-update state, exactly as select_pair saw it;
     # its verdict is reused only if it was recorded for this round
     loop_round = config.variant != "random" and _guard_verdict(state, config) is None

@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = subs.add_parser("bounds", help="regret constants and closed-form bounds")
     _add_source_flags(p_bounds)
     p_bounds.add_argument("--json", action="store_true", help="machine-readable output")
-    p_bounds.add_argument("--rates", action="store_true", help="include optimal rates in JSON")
+    p_bounds.add_argument("--rates", action="store_true", help="include optimal rates (with --json)")
     p_bounds.add_argument("--k-max", type=int, default=None, help="exact-LP size gate override")
     p_bounds.set_defaults(func=cmd_bounds)
 
@@ -175,7 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p_run.add_argument("--output", help="trace file path (default: derived name in cwd)")
     p_run.add_argument("--format", choices=("json", "csv"), default="json")
-    p_run.add_argument("--include-runs", action="store_true", help="per-run columns in CSV")
+    p_run.add_argument(
+        "--include-runs", action="store_true", help="per-run columns (with --format csv)"
+    )
     p_run.add_argument("--k-max", type=int, default=None)
     p_run.set_defaults(func=cmd_run)
 

@@ -40,7 +40,7 @@ from math import inf
 
 import numpy as np
 
-from .core import PreferenceMatrix, _copeland_sets, gap_divergence
+from .core import PreferenceMatrix, _check_integer, _copeland_sets, _float_array, gap_divergence
 from .errors import NotAWinnerError, TiedPreferenceError, ValidationError
 
 #: A constraint is satisfied iff its left side is >= 1 - FEASIBILITY_TOL.
@@ -71,7 +71,8 @@ class RateVector:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "k", _check_integer(self.k, "K", 1))
+        arr = _float_array(self.values, "rates")
         if arr.shape != (pair_count(self.k),):
             raise ValidationError(
                 f"rate vector for K={self.k} needs {pair_count(self.k)} entries, got {arr.shape}"
@@ -84,7 +85,7 @@ class RateVector:
 
     @classmethod
     def zeros(cls, k: int) -> "RateVector":
-        return cls(k, np.zeros(pair_count(k)))
+        return cls.from_map(k, {})
 
     @classmethod
     def trivial(cls, matrix: PreferenceMatrix) -> "RateVector":
@@ -96,6 +97,7 @@ class RateVector:
     @classmethod
     def from_map(cls, k: int, mapping) -> "RateVector":
         """Build from a {"i-j": rate} map with 1-based i > j keys."""
+        k = _check_integer(k, "K", 1)
         vals = np.zeros(pair_count(k))
         for key, rate in mapping.items():
             try:
@@ -110,7 +112,8 @@ class RateVector:
 
     def get(self, i: int, j: int) -> float:
         """Rate of the unordered pair {i, j}, 1-based."""
-        if i == j or not (1 <= i <= self.k and 1 <= j <= self.k):
+        i, j = _check_integer(i, "arm i", 1, self.k), _check_integer(j, "arm j", 1, self.k)
+        if i == j:
             raise ValidationError(f"bad pair ({i},{j}) for K={self.k}")
         return float(self.values[pair_index(i - 1, j - 1)])
 
@@ -187,8 +190,7 @@ def _winner_sets(matrix: PreferenceMatrix, i1: int | None = None):
     a winner.  Raises on an arm out of range, then on ties, then on a
     non-winner.
     """
-    if i1 is not None and not 1 <= i1 <= matrix.k:
-        raise ValidationError(f"arm index {i1} out of range for K={matrix.k}")
+    i1 = i1 if i1 is None else _check_integer(i1, "arm i1", 1, matrix.k)
     if matrix.has_ties:
         raise TiedPreferenceError("strict gaps required")
     sup, inf_, losses, winners = _copeland_sets(matrix.values)
@@ -204,12 +206,14 @@ def _winner_sets(matrix: PreferenceMatrix, i1: int | None = None):
 
 def cw_constraints(matrix: PreferenceMatrix, i1: int) -> ConstraintFamily:
     """Full divergence constraint family for candidate winner i1 (1-based)."""
-    return ConstraintFamily(kind="cw", i1=i1, k=matrix.k, _sets=_winner_sets(matrix, i1)[:3])
+    sets = _winner_sets(matrix, i1)
+    return ConstraintFamily(kind="cw", i1=sets[3][0] + 1, k=matrix.k, _sets=sets[:3])
 
 
 def ecw_constraints(matrix: PreferenceMatrix, i1: int) -> ConstraintFamily:
     """Relaxed family: equality pins on i1's pairs plus per-rival subset constraints."""
-    return ConstraintFamily(kind="ecw", i1=i1, k=matrix.k, _sets=_winner_sets(matrix, i1)[:3])
+    sets = _winner_sets(matrix, i1)
+    return ConstraintFamily(kind="ecw", i1=sets[3][0] + 1, k=matrix.k, _sets=sets[:3])
 
 
 # ---------------------------------------------------------------------------

@@ -36,12 +36,49 @@ SUBMATRIX_ATTEMPT_CAP = 100_000
 _LN2 = math.log(2.0)
 
 
+def _check_integer(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as an int: an int or an integral float in [low, high], else ValidationError.
+
+    Bools are rejected.  Plain ints skip the slow ``numbers.Integral`` test:
+    a draw checks its pair every round.
+    """
+    if type(value) is not int:
+        if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+        ):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if low is not None and value < low or high is not None and value > high:
+        if high is not None:
+            want = f"between {low} and {high}"
+        else:
+            want = "a nonnegative integer" if low == 0 else f"at least {low}"
+        raise ValidationError(f"{name} must be {want}, got {value}")
+    return value
+
+
+def _check_real(value, name: str, error=ValidationError) -> float:
+    """``value`` as a float if it is a finite real number and not a bool, else ``error``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise error(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _float_array(values, what):
+    """``values`` as a float array; ValidationError if it is ragged or not numeric."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a numeric array") from None
+
+
 def kl_bernoulli(p: float, q: float) -> float:
     """KL divergence between Bernoulli(p) and Bernoulli(q), in nats.
 
     Uses the convention 0*log(0) = 0, so p may sit on the boundary of
     [0, 1]; q must lie strictly inside (0, 1).
     """
+    p, q = _check_real(p, "p", DomainError), _check_real(q, "q", DomainError)
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p must be in [0, 1], got {p!r}")
     if not 0.0 < q < 1.0:
@@ -101,7 +138,7 @@ class PreferenceMatrix:
     """
 
     def __init__(self, rows, allow_ties: bool = False, symmetrize: bool = False):
-        arr = np.asarray(rows, dtype=float)
+        arr = _float_array(rows, "preference matrix")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValidationError(f"preference matrix must be square, got shape {arr.shape}")
         k = arr.shape[0]
@@ -153,8 +190,7 @@ class PreferenceMatrix:
 
     def mu(self, i: int, j: int) -> float:
         """mu_ij with 1-based arm indices."""
-        if not (1 <= i <= self.k and 1 <= j <= self.k):
-            raise ValidationError(f"arm index out of range: ({i},{j}) for K={self.k}")
+        i, j = _check_integer(i, "arm i", 1, self.k), _check_integer(j, "arm j", 1, self.k)
         return float(self._values[i - 1, j - 1])
 
     def take(self, arms0: np.ndarray) -> "PreferenceMatrix":
@@ -235,9 +271,7 @@ def copeland_summary(matrix: PreferenceMatrix, tie_tolerant: bool = False) -> Co
 
 def regret_per_pair(summary: CopelandSummary, i: int, j: int) -> float:
     """Per-round regret (L_i + L_j - 2 L_min) / (2(K-1)) for drawing pair (i, j)."""
-    k = summary.k
-    if not (1 <= i <= k and 1 <= j <= k):
-        raise ValidationError(f"arm index out of range: ({i},{j}) for K={k}")
+    i, j = _check_integer(i, "arm i", 1, summary.k), _check_integer(j, "arm j", 1, summary.k)
     return float(regret_table(summary.losses)[i - 1, j - 1])
 
 
@@ -295,7 +329,7 @@ def load_matrix(source, format: str = "csv", allow_ties: bool = False) -> Prefer
         if hasattr(source, "read"):
             source = source.read()
         if isinstance(source, bytes):
-            source = source.decode("utf-8")
+            source = source.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"matrix input is not UTF-8 ({exc})") from None
     if not isinstance(source, str):
@@ -430,22 +464,6 @@ def builtin_dataset(name: str) -> PreferenceMatrix:
 # submatrix sampling
 
 
-def _check_integer(value, name: str):
-    """``value`` if it is an integer or an integral float, else ValidationError."""
-    if isinstance(value, bool) or not (
-        isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
-    ):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _check_seed(seed: int) -> int:
-    """``seed`` as a generator seed; numpy rejects negative ones with a bare ValueError."""
-    if _check_integer(seed, "seed") < 0:
-        raise ValidationError(f"seed must be nonnegative, got {seed}")
-    return int(seed)
-
-
 def sample_submatrix(
     matrix: PreferenceMatrix,
     k: int,
@@ -455,16 +473,18 @@ def sample_submatrix(
 ) -> PreferenceMatrix:
     """Uniformly sample k distinct arms, rejecting draws with small gaps.
 
-    A draw is rejected while any selected off-diagonal pair has
+    ``rng`` is a numpy Generator or a nonnegative seed for one.  A draw is
+    rejected while any selected off-diagonal pair has
     |mu_ij - 1/2| < min_gap.  Deterministic given the generator state;
     raises ExhaustedRejectionsError after ``max_attempts`` rejections.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(_check_seed(rng))
-    if not 1 <= k <= matrix.k:
-        raise ValidationError(f"submatrix size k={k} out of range for K={matrix.k}")
-    if not (min_gap >= 0 and math.isfinite(min_gap)):
-        raise ValidationError(f"min_gap must be finite and nonnegative, got {min_gap!r}")
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(_check_integer(rng, "seed", 0))
+    k = _check_integer(k, "submatrix size k", 1, matrix.k)
+    min_gap = _check_real(min_gap, "min_gap")
+    max_attempts = _check_integer(max_attempts, "max_attempts", 0)
+    if min_gap < 0:
+        raise ValidationError(f"min_gap must be nonnegative, got {min_gap!r}")
     values = matrix.values
     off = ~np.eye(k, dtype=bool)
     for _ in range(max_attempts):

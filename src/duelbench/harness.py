@@ -31,7 +31,7 @@ from .bandit import (
 from .core import (
     PreferenceMatrix,
     _check_integer,
-    _check_seed,
+    _check_real,
     _copeland_sets,
     _regret_nums,
     _write_atomic,
@@ -63,34 +63,17 @@ class RegretTrace:
         if not isinstance(payload["meta"], dict):
             raise TypeError("meta must be an object")
         return cls(
-            checkpoints=tuple(_checkpoint(c) for c in payload["checkpoints"]),
-            runs=tuple(tuple(_number(v) for v in row) for row in payload["runs"]),
-            mean=tuple(_number(v) for v in payload["mean"]),
-            std=tuple(_number(v) for v in payload["std"]),
+            checkpoints=tuple(_check_integer(c, "checkpoint") for c in payload["checkpoints"]),
+            runs=tuple(tuple(_check_real(v, "run entry") for v in row) for row in payload["runs"]),
+            mean=tuple(_check_real(v, "mean entry") for v in payload["mean"]),
+            std=tuple(_check_real(v, "std entry") for v in payload["std"]),
             meta=dict(payload["meta"]),
         )
 
 
-def _number(value) -> float:
-    """A finite JSON number as a float; strings and booleans are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _checkpoint(value) -> int:
-    """An integral JSON number; a float horizon writes its checkpoints as 100000.0."""
-    if not _number(value).is_integer():
-        raise ValueError(f"checkpoint must be an integer, got {value!r}")
-    return int(value)
-
-
 def checkpoint_grid(horizon: int):
     """Log-spaced rounds ceil(10^(k/10)) up to the horizon, horizon included."""
-    if _check_integer(horizon, "horizon") < 1:
-        raise ValidationError(f"horizon must be at least 1, got {horizon}")
+    horizon = _check_integer(horizon, "horizon", 1)
     grid = {horizon}
     k = 0
     while True:
@@ -104,18 +87,20 @@ def checkpoint_grid(horizon: int):
 
 def split_seed(master_seed: int, run_index: int) -> int:
     """Deterministic per-run seed, independent across run indices."""
-    entropy = [int(master_seed) & 0xFFFFFFFFFFFFFFFF, int(run_index)]
+    master_seed = _check_integer(master_seed, "master_seed")
+    entropy = [master_seed & 0xFFFFFFFFFFFFFFFF, _check_integer(run_index, "run_index", 0)]
     return int(np.random.SeedSequence(entropy).generate_state(2, np.uint64)[0])
 
 
 def _check_preconditions(matrix: PreferenceMatrix, config: AlgorithmConfig, horizon: int):
+    """The checkpoint grid of a run of ``horizon`` rounds, once the run's inputs are checked."""
     if matrix.has_ties:
         raise TiedPreferenceError("strict gaps required")
     if matrix.k < 2:
         raise ValidationError("simulation needs at least two arms")
-    if _check_integer(horizon, "horizon") < 1:
-        raise ValidationError(f"horizon must be at least 1, got {horizon}")
+    grid = checkpoint_grid(horizon)
     check_size(config, matrix.k)
+    return grid
 
 
 def _run_single(matrix: PreferenceMatrix, config: AlgorithmConfig, horizon: int, seed: int):
@@ -150,10 +135,9 @@ def _batch_worker(args):
 
 def _simulate_seeds(matrix, config, horizon, seeds, parallelism, label, master_seed) -> RegretTrace:
     """Check the inputs, make one run per seed and aggregate the rows into a trace."""
-    if _check_integer(parallelism, "parallelism") < 1:
-        raise ValidationError(f"parallelism must be at least 1, got {parallelism}")
-    _check_preconditions(matrix, config, horizon)
-    jobs = [(matrix, config, horizon, s) for s in seeds]
+    parallelism = _check_integer(parallelism, "parallelism", 1)
+    grid = _check_preconditions(matrix, config, horizon)
+    jobs = [(matrix, config, grid[-1], s) for s in seeds]
     if parallelism > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(parallelism, len(jobs))) as pool:
             rows = list(pool.map(_batch_worker, jobs))
@@ -161,7 +145,7 @@ def _simulate_seeds(matrix, config, horizon, seeds, parallelism, label, master_s
         rows = [_batch_worker(job) for job in jobs]
     arr = np.asarray(rows)
     return RegretTrace(
-        checkpoints=checkpoint_grid(horizon),
+        checkpoints=grid,
         runs=tuple(tuple(r) for r in rows),
         mean=tuple(float(v) for v in arr.mean(axis=0)),
         std=tuple(float(v) for v in arr.std(axis=0)),
@@ -170,7 +154,7 @@ def _simulate_seeds(matrix, config, horizon, seeds, parallelism, label, master_s
             "variant": config.variant,
             "alpha": config.alpha,
             "beta": config.beta,
-            "horizon": horizon,
+            "horizon": grid[-1],
             "runs": len(rows),
             "master_seed": master_seed,
         },
@@ -185,7 +169,8 @@ def simulate(
     label: str | None = None,
 ) -> RegretTrace:
     """Single run; bit-reproducible for a fixed seed and config."""
-    return _simulate_seeds(matrix, config, horizon, [_check_seed(run_seed)], 1, label, run_seed)
+    run_seed = _check_integer(run_seed, "seed", 0)
+    return _simulate_seeds(matrix, config, horizon, [run_seed], 1, label, run_seed)
 
 
 def simulate_batch(
@@ -198,9 +183,8 @@ def simulate_batch(
     label: str | None = None,
 ) -> RegretTrace:
     """Aggregate over independent runs; output is identical for any parallelism."""
-    if _check_integer(runs, "runs") < 1:
-        raise ValidationError(f"need at least one run, got {runs}")
-    _check_integer(master_seed, "master_seed")
+    runs = _check_integer(runs, "runs", 1)
+    master_seed = _check_integer(master_seed, "master_seed")
     seeds = [split_seed(master_seed, r) for r in range(runs)]
     return _simulate_seeds(matrix, config, horizon, seeds, parallelism, label, master_seed)
 

@@ -44,7 +44,9 @@ from .constraints import (
 from .core import (
     PreferenceMatrix,
     _check_integer,
+    _check_real,
     _copeland_sets,
+    _float_array,
     _regret_nums,
     gap_divergence,
     kl_bernoulli,
@@ -65,13 +67,6 @@ DEFAULT_K_MAX = 8
 PIVOTS_PER_ROW = 50
 
 
-def check_gate(gate: int, name: str = "K_max") -> int:
-    """``gate`` if it is a nonnegative integer (0 skips every exact LP), else ValidationError."""
-    if _check_integer(gate, name) < 0:
-        raise ValidationError(f"{name} must be a nonnegative integer, got {gate}")
-    return gate
-
-
 def default_k_max() -> int:
     """Exact-LP size gate; override with the DUELBENCH_KMAX environment variable."""
     raw = os.environ.get(_K_MAX_ENV, str(DEFAULT_K_MAX))
@@ -79,12 +74,12 @@ def default_k_max() -> int:
         gate = int(raw)
     except ValueError:
         raise ValidationError(f"{_K_MAX_ENV} must be an integer, got {raw!r}") from None
-    return check_gate(gate, _K_MAX_ENV)
+    return _check_integer(gate, _K_MAX_ENV, 0)
 
 
 def lp_gate(k_max: int | None = None) -> int:
-    """The exact-LP size gate in force: ``k_max`` if given, else default_k_max()."""
-    return default_k_max() if k_max is None else check_gate(k_max)
+    """The exact-LP size gate in force, ``k_max`` or else default_k_max(); 0 skips every LP."""
+    return default_k_max() if k_max is None else _check_integer(k_max, "K_max", 0)
 
 
 def check_lp_size(k: int, k_max: int | None = None) -> None:
@@ -102,12 +97,13 @@ class SubproblemInstance:
     slack: int
 
     def __post_init__(self):
-        if len(self.costs) < 1:
+        costs = tuple(_check_real(c, "cost") for c in self.costs)
+        if len(costs) < 1:
             raise ValidationError("subproblem needs at least one element")
-        if self.slack < 0:
-            raise ValidationError(f"slack must be nonnegative, got {self.slack}")
-        if any(not math.isfinite(c) or c < 0 for c in self.costs):
-            raise ValidationError("costs must be finite and nonnegative")
+        object.__setattr__(self, "slack", _check_integer(self.slack, "slack", 0))
+        if any(c < 0 for c in costs):
+            raise ValidationError("costs must be nonnegative")
+        object.__setattr__(self, "costs", costs)
 
 
 @dataclass(frozen=True)
@@ -155,14 +151,6 @@ def solve_subproblem(instance: SubproblemInstance):
 
 # ---------------------------------------------------------------------------
 # condensed simplex (exact LP engine)
-
-
-def _float_array(values, what):
-    """``values`` as a float array; ValidationError if it is ragged or not numeric."""
-    try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{what} must be a numeric array") from None
 
 
 def simplex_solve(costs, constraints, upper_bounds):
@@ -475,12 +463,12 @@ def ccb_bound(matrix: PreferenceMatrix) -> float:
 
 def ecw_explicit_bound(matrix: PreferenceMatrix, i1: int) -> float:
     """Feasible-point upper bound on the relaxed constant for winner i1."""
-    sup, _, losses, _ = _winner_sets(matrix, i1)
+    sup, _, losses, (winner,) = _winner_sets(matrix, i1)
     delta = _min_gap(matrix)
     d = kl_bernoulli(0.5 + delta, 0.5)
     low = min(losses)
     total = 0.0
-    for i2, _ in _rivals(sup, i1 - 1):
+    for i2, _ in _rivals(sup, winner):
         total += 1.0 + losses[i2] / (losses[i2] - low + 1.0)
     return total / d
 

@@ -259,7 +259,7 @@ class TestSubmatrix:
         )
         assert code == 2
         assert out == ""
-        assert err == "error: seed must be nonnegative, got -1\n"
+        assert err == "error: seed must be a nonnegative integer, got -1\n"
         assert not (tmp_path / "sub.csv").exists()
 
     def test_non_finite_min_gap(self, capsys, tmp_path):
