@@ -24,9 +24,11 @@ pieces of the budgets and plans that read them
 (``constraints.GroupCache``, one piece per winner and rival), so an
 exploring round costs work on the drawn pair's rows and columns rather
 than a K x K rebuild.  Every float equals the one a full rebuild gives.
-A drawn estimate that changes side of 1/2 changes the Copeland sets,
-and then everything is rebuilt.  Rounds that change nothing but t
-(self-pair draws) reuse the plan, and the guard runs once per round.
+The cache owns the empirical Copeland sets, every empirical winner
+listed.  A drawn estimate that changes side of 1/2 changes those sets,
+and then everything is rebuilt, the cache included.  Rounds that change
+nothing but t (self-pair draws) reuse the plan, and the guard runs once
+per round.
 
 Once the loop has converged to exploiting a candidate, the rounds until
 the next event are identical self-pair draws; ``advance_self_pairs``
@@ -56,7 +58,6 @@ from .core import (
     _check_integer,
     _check_real,
     _copeland_sets,
-    _regret_nums,
     gap_divergence,
     gap_divergences,
 )
@@ -118,8 +119,6 @@ class RmedState:
         "_floor",
         "_touched",
         "_dirty",
-        "_sets",
-        "_rnum",
         "_weights",
         "_div",
         "_groups",
@@ -146,11 +145,9 @@ class RmedState:
         self._floor = (0, 0.0)  # lower bounds on (min(_n), min(_gap))
         self._touched = set()  # indices of the pairs drawn since the last _update
         self._dirty = True  # rebuild everything from counts and muhat
-        self._sets = None
-        self._rnum = None
         self._weights = None
         self._div = None
-        self._groups = None
+        self._groups = None  # GroupCache of the empirical Copeland sets
         self._budgets = {}
         self._plan = None
         self._guard = None  # (round, _first_guarded verdict) from select_pair
@@ -161,8 +158,7 @@ class RmedState:
         """Rebuild every cache from counts and muhat."""
         counts, muhat = self.counts, self.muhat
         # estimates can sit exactly at 1/2; such pairs count in neither set
-        self._sets = _copeland_sets(muhat)
-        self._rnum = _regret_nums(self._sets[2])
+        self._groups = GroupCache(_copeland_sets(muhat))
         div = gap_divergence(muhat)
         self._div = div.tolist()
         self._weights = (np.array(counts, dtype=float) * div).tolist()
@@ -170,7 +166,6 @@ class RmedState:
         self._gap = [abs(muhat[i][j] - 0.5) for i, j in self._pairs]
         self._floor = (min(self._n), min(self._gap))
         self._touched = set()
-        self._groups = GroupCache()
         self._budgets = {}
         self._plan = None
         self._dirty = False
@@ -187,12 +182,11 @@ class RmedState:
             self._refresh()
         if not self._touched:
             return
-        muhat = self.muhat
-        sup, inf_sets = self._sets[:2]
+        muhat, groups = self.muhat, self._groups
         drawn = [self._pairs[p] for p in self._touched]
         for i, j in drawn:
             mu = muhat[i][j]
-            if (mu < 0.5) != (j in sup[i]) or (mu > 0.5) != (j in inf_sets[i]):
+            if (mu < 0.5) != (j in groups.sup[i]) or (mu > 0.5) != (j in groups.inf[i]):
                 self._refresh()
                 return
         div = gap_divergences([muhat[i][j] for i, j in drawn] + [muhat[j][i] for i, j in drawn])
@@ -200,7 +194,7 @@ class RmedState:
             n = self.counts[i][j]
             self._div[i][j], self._div[j][i] = dij, dji
             self._weights[i][j], self._weights[j][i] = n * dij, n * dji
-            self._groups.drop(i, j)
+            groups.drop(i, j)
         self._touched.clear()
         self._budgets = {}
         self._plan = None
@@ -208,17 +202,15 @@ class RmedState:
     def _budget(self, i1: int, variant: str) -> float:
         cached = self._budgets.get(i1)
         if cached is None:
-            sup, inf_sets, losses, _ = self._sets
             min_lhs = min_lhs_cw if variant == "cw" else min_lhs_ecw
-            cached = min_lhs(sup, inf_sets, losses, i1, self._weights, self._groups)
-            self._budgets[i1] = cached
+            cached = self._budgets[i1] = min_lhs(self._groups, i1, self._weights)
         return cached
 
     def _planned(self, variant: str):
         """(winner, rates, indices of the nonzero rates) of the argmin-winner plan."""
         if self._plan is None:
             planner = _cw_lp if variant == "cw" else _ecw_plan
-            ihat, rates, _ = _best_plan(planner, self._div, self._sets, self._rnum, self._groups)
+            ihat, rates, _ = _best_plan(planner, self._groups, self._div)
             self._plan = ihat, rates, list(compress(range(len(rates)), rates))
         return self._plan
 
@@ -286,7 +278,7 @@ def random_baseline_select(rng: np.random.Generator, k: int):
 def _confirmed_winner(state: RmedState, config: AlgorithmConfig, logt: float):
     """First empirical winner whose budget clears (1-tol) ln t, or None."""
     threshold = (1.0 - FEASIBILITY_TOL) * logt
-    for i1 in state._sets[3]:
+    for i1 in state._groups.winners:
         if state._budget(i1, config.variant) >= threshold:
             return i1
     return None
@@ -296,7 +288,7 @@ def _plan_step(state: RmedState, config: AlgorithmConfig):
     t = state.t
     logt = log(t) if t >= 2 else log(2.0)
     state._update()
-    if not state._sets[3]:
+    if not state._groups.winners:
         raise InternalInconsistencyError("empirical winner set is empty")
 
     ihat = _confirmed_winner(state, config, logt)

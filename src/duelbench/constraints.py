@@ -22,10 +22,15 @@ required subset is larger than its set is vacuous and never generated.
 The descriptor stream, the feasibility budgets and the planners in
 ``solvers`` all walk these same (i1, i2) groups.
 
+A ``GroupCache`` owns one set of Copeland sets: superiors, inferiors,
+losses, the winners that budgets and plans are made for, and each pair's
+regret rate.  The budgets and the planners take the cache, never the sets
+beside it, and keep in it the pieces they build.
+
 Feasibility of a rate vector is decided without enumerating subsets:
 within a group the binding constraint takes the smallest weighted rates
 from each side, so a sort plus prefix sums suffices.  Each rival's
-sorted column is kept in a ``GroupCache`` until its weights change.
+sorted column is kept in the cache until its weights change.
 Prefix sums accumulate left to right (``_prefix``), so a budget does
 not depend on how the interpreter's sum() rounds.  Pins are checked
 one-sidedly (>=): counts only ever grow, so over-exploration must never
@@ -40,8 +45,16 @@ from math import inf
 
 import numpy as np
 
-from .core import PreferenceMatrix, _check_integer, _copeland_sets, _float_array, gap_divergence
-from .errors import NotAWinnerError, TiedPreferenceError, ValidationError
+from .core import (
+    PreferenceMatrix,
+    _check_integer,
+    _check_strict_gaps,
+    _copeland_sets,
+    _float_array,
+    gap_divergence,
+    regret_table,
+)
+from .errors import NotAWinnerError, ValidationError
 
 #: A constraint is satisfied iff its left side is >= 1 - FEASIBILITY_TOL.
 FEASIBILITY_TOL = 1e-12
@@ -182,20 +195,15 @@ def _iter_cw_descriptors(sup, inf_sets, losses, i1):
                     yield i2, l, iset, sset
 
 
-def _winner_sets(matrix: PreferenceMatrix, i1: int | None = None):
-    """0-based (superiors, inferiors, losses, winners) of a strict-gap matrix.
+def _winner_sets(matrix: PreferenceMatrix, i1: int):
+    """0-based (superiors, inferiors, losses, [i1 - 1]) of a strict-gap matrix.
 
-    ``winners`` lists every Copeland winner in ascending order or, when a
-    1-based arm ``i1`` is given, only ``i1 - 1`` after checking that it is
-    a winner.  Raises on an arm out of range, then on ties, then on a
-    non-winner.
+    ``i1`` is 1-based and must be a Copeland winner.  Raises on an arm
+    that is not an integer in range, then on ties, then on a non-winner.
     """
-    i1 = i1 if i1 is None else _check_integer(i1, "arm i1", 1, matrix.k)
-    if matrix.has_ties:
-        raise TiedPreferenceError("strict gaps required")
+    i1 = _check_integer(i1, "arm i1", 1, matrix.k)
+    _check_strict_gaps(matrix)
     sup, inf_, losses, winners = _copeland_sets(matrix.values)
-    if i1 is None:
-        return sup, inf_, losses, winners
     if i1 - 1 not in winners:
         raise NotAWinnerError(
             f"arm {i1} has loss count {losses[i1 - 1]} > {losses[winners[0]]}; "
@@ -207,13 +215,13 @@ def _winner_sets(matrix: PreferenceMatrix, i1: int | None = None):
 def cw_constraints(matrix: PreferenceMatrix, i1: int) -> ConstraintFamily:
     """Full divergence constraint family for candidate winner i1 (1-based)."""
     sets = _winner_sets(matrix, i1)
-    return ConstraintFamily(kind="cw", i1=sets[3][0] + 1, k=matrix.k, _sets=sets[:3])
+    return ConstraintFamily(kind="cw", i1=sets[3][0] + 1, k=matrix.k, _sets=sets)
 
 
 def ecw_constraints(matrix: PreferenceMatrix, i1: int) -> ConstraintFamily:
     """Relaxed family: equality pins on i1's pairs plus per-rival subset constraints."""
     sets = _winner_sets(matrix, i1)
-    return ConstraintFamily(kind="ecw", i1=sets[3][0] + 1, k=matrix.k, _sets=sets[:3])
+    return ConstraintFamily(kind="ecw", i1=sets[3][0] + 1, k=matrix.k, _sets=sets)
 
 
 # ---------------------------------------------------------------------------
@@ -221,20 +229,29 @@ def ecw_constraints(matrix: PreferenceMatrix, i1: int) -> ConstraintFamily:
 
 
 class GroupCache:
-    """Pieces of the budgets and plans, per winner and rival group, for fixed Copeland sets.
+    """Copeland sets, regret rates and the budget and plan pieces made for them.
 
-    ``min_lhs_cw``, ``min_lhs_ecw`` and the planners in ``solvers`` fill it
-    as they read it, so an empty cache gives the same answers as a full
-    one.  A winner's pins read its row of weights or divergences, one
-    entry per pair; a rival's column and subproblems read its column.
-    The relaxed rivals and the exact LP's row pattern read only the sets.
-    A caller that changes the pair (l, m) calls ``drop(l, m)``; a change
-    of the sets needs a new cache.
+    ``sets`` is (superiors, inferiors, losses, winners), all 0-based, and
+    ``winners`` the arms that budgets and plans are made for: every
+    winner, or one named arm.  ``regret[i][j]`` is the per-round regret
+    (L_i + L_j - 2 L_min) / (2(K-1)) of the pair.  ``min_lhs_cw``,
+    ``min_lhs_ecw`` and the planners in ``solvers`` fill the pieces as they
+    read them, so a new cache gives the same answers as a full one.  A
+    winner's pins read its row of weights or divergences, one entry per
+    pair; a rival's column and subproblems read its column.  The relaxed
+    rivals and the exact LP's row pattern read only the sets.  A caller
+    that changes the pair (l, m) calls ``drop(l, m)``; a change of the sets
+    needs a new cache.
     """
 
-    __slots__ = ("rivals", "columns", "pins", "pieces", "lp_rows")
+    __slots__ = (
+        "sup", "inf", "losses", "winners", "regret",  # fixed for the cache's life
+        "rivals", "columns", "pins", "pieces", "lp_rows",  # filled as they are read
+    )
 
-    def __init__(self):
+    def __init__(self, sets):
+        self.sup, self.inf, self.losses, self.winners = sets
+        self.regret = regret_table(self.losses).tolist()
         self.rivals = {}  # i1 -> list(_ecw_rivals(sup, losses, i1))
         self.columns = {}  # i2 -> sorted (weights[j][i2], j) for j in sup[i2]
         self.pins = {}  # i1 -> {j: _ecw_plan's (pair, rate, regret) entry, None if stale}
@@ -255,16 +272,16 @@ class GroupCache:
             if pins is not None and b in pins:
                 pins[b] = None
 
-    def ecw_rivals(self, sup, losses, i1):
+    def ecw_rivals(self, i1):
         rivals = self.rivals.get(i1)
         if rivals is None:
-            rivals = self.rivals[i1] = list(_ecw_rivals(sup, losses, i1))
+            rivals = self.rivals[i1] = list(_ecw_rivals(self.sup, self.losses, i1))
         return rivals
 
-    def column(self, sup, weights, i2):
+    def column(self, weights, i2):
         col = self.columns.get(i2)
         if col is None:
-            col = self.columns[i2] = sorted((weights[j][i2], j) for j in sup[i2])
+            col = self.columns[i2] = sorted((weights[j][i2], j) for j in self.sup[i2])
         return col
 
 
@@ -284,15 +301,15 @@ def _prefix(ranked, skip=None, n=inf):
     return out
 
 
-def min_lhs_cw(sup, inf_sets, losses, i1, weights, groups=None) -> float:
-    """Minimum constraint left side over the full family, +inf if empty.
+def min_lhs_cw(groups, i1, weights) -> float:
+    """Minimum constraint left side over winner i1's full family, +inf if empty.
 
-    ``weights[i][j]`` must hold q_ij * d_KL(mu_ij, 1/2) (symmetric).  For
-    each rival i2 and level l the binding descriptor takes the smallest
-    weights of S and of H - {i2}, H being the arms i1 beats.  ``groups``
-    is a GroupCache for these sets and weights.
+    ``groups`` is a GroupCache for these weights, and ``weights[i][j]``
+    must hold q_ij * d_KL(mu_ij, 1/2) (symmetric).  For each rival i2 and
+    level l the binding descriptor takes the smallest weights of S and of
+    H - {i2}, H being the arms i1 beats.
     """
-    groups = GroupCache() if groups is None else groups
+    sup, inf_sets, losses = groups.sup, groups.inf, groups.losses
     w_row = weights[i1]
     h_sorted = sorted((w_row[j], j) for j in inf_sets[i1])
     li1, levels = losses[i1], _cw_levels(losses)
@@ -303,7 +320,7 @@ def min_lhs_cw(sup, inf_sets, losses, i1, weights, groups=None) -> float:
     for i2 in range(len(sup)):
         if i2 == i1:
             continue
-        pref_s = _prefix(groups.column(sup, weights, i2), i1, losses[i2] - levels[0])
+        pref_s = _prefix(groups.column(weights, i2), i1, losses[i2] - levels[0])
         # (forced weight, flips saved on each side): i2 outside I, or inside
         # it when i1 beats i2, which forces in the pair (i1, i2)
         memberships = [(0.0, 0)]
@@ -322,15 +339,14 @@ def min_lhs_cw(sup, inf_sets, losses, i1, weights, groups=None) -> float:
     return best
 
 
-def min_lhs_ecw(sup, inf_sets, losses, i1, weights, groups=None) -> float:
-    """Minimum left side over the relaxed family: pins and subset constraints.
+def min_lhs_ecw(groups, i1, weights) -> float:
+    """Minimum left side over winner i1's relaxed family: pins and subset constraints.
 
-    ``groups`` is a GroupCache for these sets and weights.
+    ``groups`` is a GroupCache for these weights.
     """
-    groups = GroupCache() if groups is None else groups
-    best = min((weights[i1][j] for j in inf_sets[i1]), default=inf)
-    for i2, _, need in groups.ecw_rivals(sup, losses, i1):
-        lhs = _prefix(groups.column(sup, weights, i2), i1, need)[need]
+    best = min((weights[i1][j] for j in groups.inf[i1]), default=inf)
+    for i2, _, need in groups.ecw_rivals(i1):
+        lhs = _prefix(groups.column(weights, i2), i1, need)[need]
         if lhs < best:
             best = lhs
     return best
@@ -350,10 +366,5 @@ def check_feasible(
             f"size mismatch: family K={family.k}, rates K={rates.k}, matrix K={matrix.k}"
         )
     weights = (rates.as_matrix() * gap_divergence(matrix.values)).tolist()
-    sup, inf_sets, losses = family._sets
-    i1 = family.i1 - 1
-    if family.kind == "cw":
-        low = min_lhs_cw(sup, inf_sets, losses, i1, weights)
-    else:
-        low = min_lhs_ecw(sup, inf_sets, losses, i1, weights)
-    return low >= 1.0 - FEASIBILITY_TOL
+    min_lhs = min_lhs_cw if family.kind == "cw" else min_lhs_ecw
+    return min_lhs(GroupCache(family._sets), family.i1 - 1, weights) >= 1.0 - FEASIBILITY_TOL

@@ -129,15 +129,9 @@ def gap_divergence(values) -> np.ndarray:
 
 
 class PreferenceMatrix:
-    """Immutable K x K matrix of pairwise preference probabilities.
+    """Immutable K x K matrix of pairwise preference probabilities."""
 
-    With ``symmetrize=True`` the mirror-consistency check is skipped and
-    the authoritative triangle simply overwrites the other; this is how
-    the built-in tables absorb rounding slack in their published upper
-    triangles.
-    """
-
-    def __init__(self, rows, allow_ties: bool = False, symmetrize: bool = False):
+    def __init__(self, rows, allow_ties: bool = False):
         arr = _float_array(rows, "preference matrix")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValidationError(f"preference matrix must be square, got shape {arr.shape}")
@@ -153,13 +147,12 @@ class PreferenceMatrix:
         if (diag_resid > SYMMETRY_TOL).any():
             i = int(np.argmax(diag_resid))
             raise ValidationError(f"diagonal entry ({i + 1},{i + 1}) = {arr[i, i]!r} must be 1/2")
-        if not symmetrize:
-            resid = np.abs(arr + arr.T - 1.0)
-            if (resid > SYMMETRY_TOL).any():
-                i, j = np.unravel_index(int(np.argmax(resid)), resid.shape)
-                raise ValidationError(
-                    f"asymmetric pair ({i + 1},{j + 1}): |mu_ij + mu_ji - 1| = {resid[i, j]:.3e}"
-                )
+        resid = np.abs(arr + arr.T - 1.0)
+        if (resid > SYMMETRY_TOL).any():
+            i, j = np.unravel_index(int(np.argmax(resid)), resid.shape)
+            raise ValidationError(
+                f"asymmetric pair ({i + 1},{j + 1}): |mu_ij + mu_ji - 1| = {resid[i, j]:.3e}"
+            )
 
         # canonical storage: entries with row > col are authoritative
         vals = np.full((k, k), 0.5)
@@ -239,7 +232,7 @@ def _copeland_sets(rows):
     ``rows`` holds the K x K estimates mu_ij, row i for arm i, as lists or
     an array.  Arm j beats arm i where mu_ij < 1/2.  An entry at exactly
     1/2 (the diagonal, a tied pair) counts in neither set; callers needing
-    strict gaps check ``has_ties``.
+    strict gaps call ``_check_strict_gaps``.
     """
     sup = [[j for j, v in enumerate(row) if v < 0.5] for row in rows]
     inf_ = [[j for j, v in enumerate(row) if v > 0.5] for row in rows]
@@ -249,14 +242,20 @@ def _copeland_sets(rows):
     return sup, inf_, losses, winners
 
 
+def _check_strict_gaps(matrix: PreferenceMatrix) -> None:
+    """TiedPreferenceError unless every off-diagonal entry differs from 1/2."""
+    if matrix.has_ties:
+        raise TiedPreferenceError("strict gaps required")
+
+
 def copeland_summary(matrix: PreferenceMatrix, tie_tolerant: bool = False) -> CopelandSummary:
     """Copeland statistics of a matrix; deterministic.
 
     In strict mode a tied off-diagonal entry raises TiedPreferenceError.
     In tie-tolerant mode tied pairs count in neither set.
     """
-    if matrix.has_ties and not tie_tolerant:
-        raise TiedPreferenceError("strict gaps required")
+    if not tie_tolerant:
+        _check_strict_gaps(matrix)
     sup, inf_, losses, winners = _copeland_sets(matrix.values)
     return CopelandSummary(
         k=matrix.k,
@@ -320,8 +319,9 @@ def load_matrix(source, format: str = "csv", allow_ties: bool = False) -> Prefer
     """Load a preference matrix from CSV text, bytes, or a readable stream.
 
     Format: K lines of K comma-separated decimals, row i column j = mu_ij;
-    lines starting with ``#`` are comments.  Asymmetric or non-square input
-    is rejected.
+    lines starting with ``#`` are comments.  Bytes must be UTF-8, and one
+    leading byte-order mark is dropped from bytes and text alike.
+    Asymmetric or non-square input is rejected.
     """
     if format != "csv":
         raise ValidationError(f"unsupported matrix format: {format!r}")
@@ -330,6 +330,8 @@ def load_matrix(source, format: str = "csv", allow_ties: bool = False) -> Prefer
             source = source.read()
         if isinstance(source, bytes):
             source = source.decode("utf-8-sig")
+        elif isinstance(source, str):
+            source = source.removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(f"matrix input is not UTF-8 ({exc})") from None
     if not isinstance(source, str):
@@ -457,7 +459,10 @@ def builtin_dataset(name: str) -> PreferenceMatrix:
         ) from None
     rows = [[float(f) for f in line.split()] for line in table.strip().splitlines()]
     # published tables carry rounding slack in the non-authoritative triangle
-    return PreferenceMatrix(rows, allow_ties=name in _TIE_TOLERANT_DATASETS, symmetrize=True)
+    for i, row in enumerate(rows):
+        for j in range(i):
+            rows[j][i] = 1.0 - row[j]
+    return PreferenceMatrix(rows, allow_ties=name in _TIE_TOLERANT_DATASETS)
 
 
 # ---------------------------------------------------------------------------

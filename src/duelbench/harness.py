@@ -32,11 +32,12 @@ from .core import (
     PreferenceMatrix,
     _check_integer,
     _check_real,
+    _check_strict_gaps,
     _copeland_sets,
     _regret_nums,
     _write_atomic,
 )
-from .errors import ParseError, TiedPreferenceError, TraceIOError, ValidationError
+from .errors import ParseError, TraceIOError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -94,8 +95,7 @@ def split_seed(master_seed: int, run_index: int) -> int:
 
 def _check_preconditions(matrix: PreferenceMatrix, config: AlgorithmConfig, horizon: int):
     """The checkpoint grid of a run of ``horizon`` rounds, once the run's inputs are checked."""
-    if matrix.has_ties:
-        raise TiedPreferenceError("strict gaps required")
+    _check_strict_gaps(matrix)
     if matrix.k < 2:
         raise ValidationError("simulation needs at least two arms")
     grid = checkpoint_grid(horizon)

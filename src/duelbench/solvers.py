@@ -15,10 +15,11 @@ are bit for bit those of the full tableau.  The LP's rows are the
 minimal pair sets P_IS of the enumerated family: a set that strictly
 contains another is implied by it, since coefficients are per pair and
 nonnegative and x >= 0, so dropping it leaves the feasible polytope, and
-the optimum, unchanged.  The row pattern reads only the Copeland sets
-and is kept per winner in a ``GroupCache``.  The LP is gated at K_max
-arms because the enumeration grows exponentially; the relaxed program
-has no size limit.
+the optimum, unchanged.  Both planners take a ``GroupCache``, which
+owns the Copeland sets, the winners to plan for and each pair's regret
+rate; the row pattern reads only the sets and is kept there per winner.
+The LP is gated at K_max arms because the enumeration grows
+exponentially; the relaxed program has no size limit.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import numpy as np
 from .constraints import (
     GroupCache,
     RateVector,
-    _ecw_rivals,
     _iter_cw_descriptors,
     _prefix,
     _rivals,
@@ -45,18 +45,13 @@ from .core import (
     PreferenceMatrix,
     _check_integer,
     _check_real,
+    _check_strict_gaps,
     _copeland_sets,
     _float_array,
-    _regret_nums,
     gap_divergence,
     kl_bernoulli,
 )
-from .errors import (
-    NumericalInstabilityError,
-    TiedPreferenceError,
-    TooLargeError,
-    ValidationError,
-)
+from .errors import NumericalInstabilityError, TooLargeError, ValidationError
 
 _K_MAX_ENV = "DUELBENCH_KMAX"
 DEFAULT_K_MAX = 8
@@ -251,53 +246,42 @@ def simplex_solve(costs, constraints, upper_bounds):
 # internal planners shared with the bandit (0-based sets, tie-tolerant safe)
 
 
-def _plan_entry(i, j, rate, rnum, denom):
-    """(pair index, rate, regret per unit of ln t) of one planned pair."""
-    return pair_index(i, j), rate, (rnum[i][j] / denom) * rate
+def _ecw_plan(groups, div, i1):
+    """Closed-form relaxed rates of winner i1: (one rate per pair in iter_pairs order, constant).
 
-
-def _ecw_plan(div, sup, inf_sets, losses, i1, rnum=None, groups=None):
-    """Closed-form relaxed rates: (one rate per pair in iter_pairs order, constant).
-
-    div is the pairwise gap divergence; tied pairs (div 0) never appear in
-    the given sets and receive no rate.  ``rnum`` is _regret_nums(losses)
-    and ``groups`` a GroupCache for these sets and this div: i1's pins and
-    each rival's subproblem are kept there, and the constant is summed
-    from them in one order (pins in inf_sets[i1] order, then rivals
+    ``groups`` is a GroupCache for ``div``, the pairwise gap divergence;
+    tied pairs (div 0) never appear in its sets and receive no rate.  i1's
+    pins and each rival's subproblem are kept in the cache as (pair, rate,
+    regret per unit of ln t) entries, and the constant is summed from them
+    in one order (pins in the order of i1's inferiors, then rivals
     ascending), whichever were rebuilt.
     """
-    k = len(losses)
-    denom = 2.0 * (k - 1) if k > 1 else 1.0
-    rnum = _regret_nums(losses) if rnum is None else rnum
-    groups = GroupCache() if groups is None else groups
+    regret = groups.regret
     pins = groups.pins.get(i1)
     if pins is None:
-        pins = groups.pins[i1] = dict.fromkeys(inf_sets[i1])
-    for j in inf_sets[i1]:
-        if pins[j] is None:
-            pins[j] = _plan_entry(i1, j, 1.0 / div[i1][j], rnum, denom)
+        pins = groups.pins[i1] = dict.fromkeys(groups.inf[i1])
+    for j, entry in pins.items():
+        if entry is None:
+            rate = 1.0 / div[i1][j]
+            pins[j] = pair_index(i1, j), rate, regret[i1][j] * rate
     pieces = [pins.values()]
-    for i2, cand, need in groups.ecw_rivals(sup, losses, i1):
+    for i2, cand, need in groups.ecw_rivals(i1):
         per_winner = groups.pieces.setdefault(i2, {})
         piece = per_winner.get(i1)
         if piece is None:
-            costs = [(rnum[j][i2] / denom) / div[j][i2] for j in cand]
-            y, _ = _prefix_solution(costs, len(cand) - need)
-            piece = per_winner[i1] = [
-                _plan_entry(j, i2, yj / div[j][i2], rnum, denom)
-                for j, yj in zip(cand, y)
-                if yj > 0.0
-            ]
+            y, _ = _prefix_solution([regret[j][i2] / div[j][i2] for j in cand], len(cand) - need)
+            rates = [(j, yj / div[j][i2]) for j, yj in zip(cand, y) if yj > 0.0]
+            piece = per_winner[i1] = [(pair_index(j, i2), r, regret[j][i2] * r) for j, r in rates]
         pieces.append(piece)
-    q = [0.0] * pair_count(k)
+    q = [0.0] * pair_count(len(div))
     constant = 0.0
     for piece in pieces:
-        for p, rate, regret in piece:
+        for p, rate, cost in piece:
             # pair roles are disjoint by construction: pins touch i1,
             # and each subproblem only sets the losing side of i2
             assert q[p] == 0.0
             q[p] = rate
-            constant += regret
+            constant += cost
     return q, constant
 
 
@@ -343,60 +327,58 @@ def _lp_pattern(sup, inf_sets, losses, i1):
     return pattern
 
 
-def _cw_lp(div, sup, inf_sets, losses, i1, rnum=None, groups=None):
-    """Exact full-family LP: (one rate per pair in iter_pairs order, constant).
+def _cw_lp(groups, div, i1):
+    """Exact full-family LP of winner i1: (one rate per pair in iter_pairs order, constant).
 
-    ``rnum`` is _regret_nums(losses) and ``groups`` a GroupCache for these
-    sets, which keeps i1's row pattern; each call scales it by the current
-    divergences and solves the LP over those rows.
+    ``groups`` is a GroupCache, which keeps i1's row pattern; each call
+    scales it by the divergences ``div`` and solves the LP over those rows.
     """
-    k = len(losses)
-    denom = 2.0 * (k - 1)
-    rnum = _regret_nums(losses) if rnum is None else rnum
-    groups = GroupCache() if groups is None else groups
     pattern = groups.lp_rows.get(i1)
     if pattern is None:
-        pattern = groups.lp_rows[i1] = _lp_pattern(sup, inf_sets, losses, i1)
-    pairs = list(iter_pairs(k))
-    c = np.array([rnum[i][j] / denom for i, j in pairs])
+        pattern = groups.lp_rows[i1] = _lp_pattern(groups.sup, groups.inf, groups.losses, i1)
+    pairs = list(iter_pairs(len(div)))
+    c = np.array([groups.regret[i][j] for i, j in pairs])
     divs = [div[i][j] for i, j in pairs]
     u = np.array([1.0 / d if d > 0.0 else 0.0 for d in divs])
     x, value = simplex_solve(c, pattern * divs, u)
     return x.tolist(), value
 
 
-def _best_plan(planner, div, sets, rnum, groups):
-    """(winner, rates, constant) of the winner whose plan has the smallest constant.
+def _best_plan(planner, groups, div):
+    """(winner, rates, constant) of the cache's winner whose plan has the smallest constant.
 
-    ``sets`` is (superiors, inferiors, losses, winners), all 0-based,
-    ``planner`` is _ecw_plan or _cw_lp, and ``rnum`` and ``groups`` are
-    handed to it.  Ties go to the winner listed first, so an ascending
-    list resolves them to the smallest arm.
+    ``planner`` is _ecw_plan or _cw_lp.  Ties go to the winner listed
+    first, so an ascending list resolves them to the smallest arm.
     """
-    sup, inf_sets, losses, winners = sets
     best = None
-    for i1 in winners:
-        rates, constant = planner(div, sup, inf_sets, losses, i1, rnum, groups)
+    for i1 in groups.winners:
+        rates, constant = planner(groups, div, i1)
         if best is None or constant < best[2]:
             best = i1, rates, constant
     return best
 
 
-def _optimal(matrix: PreferenceMatrix, i1, variant: str, k_max=None) -> OptimalExploration:
-    """Optimal exploration of ``variant`` ("cw" or "ecw") for one winner.
+def _every_winner(matrix: PreferenceMatrix):
+    """0-based (superiors, inferiors, losses, winners) of a strict-gap matrix, all winners."""
+    _check_strict_gaps(matrix)
+    return _copeland_sets(matrix.values)
 
-    ``i1`` is 1-based; None picks the winner with the smallest constant
-    (ties go to the smallest arm).  The winner checks run before the
-    exact-LP size gate, so a tied matrix is reported as tied at any K.
+
+def _optimal(matrix: PreferenceMatrix, sets, variant: str, k_max=None) -> OptimalExploration:
+    """Optimal exploration of ``variant`` ("cw" or "ecw") for the best of the listed winners.
+
+    ``sets`` comes from _winner_sets, for one named winner, or from
+    _every_winner; the winner with the smallest constant is taken (ties go
+    to the smallest arm).  The sets are checked before the exact-LP size
+    gate, so a tied matrix is reported as tied at any K.
     """
-    sets = _winner_sets(matrix, i1)
     if variant == "cw":
         check_lp_size(matrix.k, k_max)
         planner, exactness = _cw_lp, "lp_exact"
     else:
         planner, exactness = _ecw_plan, "ecw_closed_form"
     div = gap_divergence(matrix.values).tolist()
-    winner, rates, constant = _best_plan(planner, div, sets, _regret_nums(sets[2]), GroupCache())
+    winner, rates, constant = _best_plan(planner, GroupCache(sets), div)
     return OptimalExploration(
         winner=winner + 1,
         rates=RateVector(matrix.k, rates),
@@ -411,7 +393,8 @@ def ecw_optimal(matrix: PreferenceMatrix, i1: int | None = None) -> OptimalExplo
     With no winner given, the winner with the smallest constant is used
     (ties go to the smallest arm).
     """
-    return _optimal(matrix, i1, "ecw")
+    sets = _every_winner(matrix) if i1 is None else _winner_sets(matrix, i1)
+    return _optimal(matrix, sets, "ecw")
 
 
 def lp_cw_optimal(matrix: PreferenceMatrix, i1: int, k_max: int | None = None) -> OptimalExploration:
@@ -420,7 +403,7 @@ def lp_cw_optimal(matrix: PreferenceMatrix, i1: int, k_max: int | None = None) -
     Raises TooLargeError beyond K_max arms (the enumeration of the
     constraint family is exponential in K).
     """
-    return _optimal(matrix, i1, "cw", k_max)
+    return _optimal(matrix, _winner_sets(matrix, i1), "cw", k_max)
 
 
 def lower_bound(matrix: PreferenceMatrix, k_max: int | None = None):
@@ -428,14 +411,14 @@ def lower_bound(matrix: PreferenceMatrix, k_max: int | None = None):
 
     Returns (constant, winner); ties resolve to the smallest arm index.
     """
-    best = _optimal(matrix, None, "cw", k_max)
+    best = _optimal(matrix, _every_winner(matrix), "cw", k_max)
     return best.constant, best.winner
 
 
 def ecw_constant(matrix: PreferenceMatrix) -> float:
     """Leading regret constant of the relaxed program: min over winners."""
     # not ecw_optimal: perfbench times both as solvers.closed_form, and its spans must not nest
-    return _optimal(matrix, None, "ecw").constant
+    return _optimal(matrix, _every_winner(matrix), "ecw").constant
 
 
 # ---------------------------------------------------------------------------
@@ -446,12 +429,9 @@ def _min_gap(matrix: PreferenceMatrix) -> float:
     """Smallest |mu_ij - 1/2| off the diagonal; raises unless gaps are strict."""
     if matrix.k < 2:
         raise ValidationError("gap undefined for a single arm")
-    vals = matrix.values
+    _check_strict_gaps(matrix)
     off = ~np.eye(matrix.k, dtype=bool)
-    delta = float(np.min(np.abs(vals[off] - 0.5)))
-    if delta == 0.0:
-        raise TiedPreferenceError("strict gaps required")
-    return delta
+    return float(np.min(np.abs(matrix.values[off] - 0.5)))
 
 
 def ccb_bound(matrix: PreferenceMatrix) -> float:

@@ -319,14 +319,15 @@ def run_rebuilt(matrix, config, horizon, seed):
 
 def cache_view(state, variant):
     """Everything a plan step reads, with every winner's budget and the plan."""
+    groups = state._groups
     return (
-        state._sets,
-        state._rnum,
+        (groups.sup, groups.inf, groups.losses, groups.winners),
+        groups.regret,
         state._div,
         state._weights,
         state._n,
         state._gap,
-        [state._budget(i1, variant) for i1 in state._sets[3]],
+        [state._budget(i1, variant) for i1 in groups.winners],
         state._planned(variant),
     )
 

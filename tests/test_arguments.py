@@ -25,14 +25,18 @@ from duelbench import (
     RateVector,
     RmedState,
     SubproblemInstance,
+    TiedPreferenceError,
     ValidationError,
     builtin_dataset,
+    ccb_bound,
     checkpoint_grid,
     copeland_summary,
     cw_constraints,
+    ecw_constant,
     ecw_constraints,
     ecw_explicit_bound,
     ecw_optimal,
+    ecw_worstcase_bound,
     kl_bernoulli,
     load_matrix,
     lower_bound,
@@ -86,6 +90,16 @@ ERRORS = [
     ("lp_cw_optimal", "k_max", lambda: lp_cw_optimal(M, 1, k_max=8.5), ValidationError),
     ("lower_bound", "k_max", lambda: lower_bound(M, k_max=8.5), ValidationError),
     ("ecw_explicit_bound", "i1", lambda: ecw_explicit_bound(M, 1.5), ValidationError),
+    # a winner argument is required; only ecw_optimal reads None as "every winner"
+    ("cw_constraints", "i1=None", lambda: cw_constraints(M, None), ValidationError),
+    ("ecw_constraints", "i1=None", lambda: ecw_constraints(M, None), ValidationError),
+    ("lp_cw_optimal", "i1=None", lambda: lp_cw_optimal(M, None), ValidationError),
+    (
+        "ecw_explicit_bound",
+        "i1=None",
+        lambda: ecw_explicit_bound(builtin_dataset("multisol"), None),
+        ValidationError,
+    ),
     ("SubproblemInstance", "costs", lambda: SubproblemInstance(("a",), 0), ValidationError),
     ("SubproblemInstance", "slack", lambda: SubproblemInstance((1.0,), 0.5), ValidationError),
     ("AlgorithmConfig", "alpha", lambda: AlgorithmConfig(alpha="a"), ValidationError),
@@ -243,6 +257,15 @@ class TestByteOrderMark:
         assert load_matrix(data) == want
         assert load_matrix(io.BytesIO(data)) == want
 
+    def test_text_and_text_stream(self):
+        want = load_matrix(self.TEXT)
+        assert load_matrix("\ufeff" + self.TEXT) == want
+        assert load_matrix(io.StringIO("\ufeff" + self.TEXT)) == want
+
+    def test_only_one_mark_is_dropped(self):
+        with pytest.raises(ParseError):
+            load_matrix("\ufeff\ufeff" + self.TEXT)
+
     def test_non_utf8_after_a_mark(self):
         with pytest.raises(ParseError, match="UTF-8"):
             load_matrix(b"\xef\xbb\xbf\xff" + self.TEXT.encode())
@@ -258,6 +281,33 @@ class TestByteOrderMark:
             assert (code, captured.err) == (0, "")
             outputs.append(captured.out.replace(path.stem, "NAME"))
         assert outputs[0] == outputs[1]
+
+
+ARXIV = builtin_dataset("arxiv")  # one pair at exactly 1/2
+
+# (entry point, call on a matrix with a tied pair)
+STRICT = [
+    ("copeland_summary", lambda: copeland_summary(ARXIV)),
+    ("cw_constraints", lambda: cw_constraints(ARXIV, 1)),
+    ("ecw_constraints", lambda: ecw_constraints(ARXIV, 1)),
+    ("ecw_optimal", lambda: ecw_optimal(ARXIV)),
+    ("ecw_optimal-i1", lambda: ecw_optimal(ARXIV, 1)),
+    ("lp_cw_optimal", lambda: lp_cw_optimal(ARXIV, 1)),
+    ("lower_bound", lambda: lower_bound(ARXIV)),
+    ("ecw_constant", lambda: ecw_constant(ARXIV)),
+    ("ecw_explicit_bound", lambda: ecw_explicit_bound(ARXIV, 1)),
+    ("ecw_worstcase_bound", lambda: ecw_worstcase_bound(ARXIV)),
+    ("ccb_bound", lambda: ccb_bound(ARXIV)),
+    ("simulate", lambda: simulate(ARXIV, CFG, 10, 0)),
+    ("simulate_batch", lambda: simulate_batch(ARXIV, CFG, 10, 1, 0)),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in STRICT], ids=[name for name, _ in STRICT])
+def test_strict_gaps_required(call):
+    with pytest.raises(TiedPreferenceError) as info:
+        call()
+    assert str(info.value) == "strict gaps required"
 
 
 def _checked_parameters():

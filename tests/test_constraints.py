@@ -18,6 +18,7 @@ from duelbench import (
     kl_bernoulli,
 )
 from duelbench.constraints import (
+    GroupCache,
     _iter_cw_descriptors,
     _winner_sets,
     min_lhs_cw,
@@ -58,9 +59,10 @@ def ecw_family(matrix, i1):
     return pins, sets
 
 
-def assert_min_lhs_match_brute(vals, sup, inf_sets, losses, i1, weights):
-    """Both sorted budgets equal the brute-force minimum over the enumerated family."""
-    fast = min_lhs_cw(sup, inf_sets, losses, i1, weights)
+def assert_min_lhs_match_brute(vals, copeland, i1, weights):
+    """Both sorted budgets, each from a new cache of the ``copeland`` sets,
+    equal the brute-force minimum over the enumerated family."""
+    fast = min_lhs_cw(GroupCache(copeland), i1, weights)
     brute = min_lhs_brute(cw_pair_sets(vals, i1), weights)
     assert fast == pytest.approx(brute, rel=1e-12) or (math.isinf(fast) and math.isinf(brute))
     pins, sets = ecw_pair_sets(vals, i1)
@@ -68,7 +70,7 @@ def assert_min_lhs_match_brute(vals, sup, inf_sets, losses, i1, weights):
         min_lhs_brute(sets, weights),
         min((weights[i][j] for i, j in pins), default=math.inf),
     )
-    fast_ecw = min_lhs_ecw(sup, inf_sets, losses, i1, weights)
+    fast_ecw = min_lhs_ecw(GroupCache(copeland), i1, weights)
     assert fast_ecw == pytest.approx(brute_ecw, rel=1e-12) or (
         math.isinf(fast_ecw) and math.isinf(brute_ecw)
     )
@@ -230,8 +232,8 @@ class TestCheckFeasible:
         fam = cw_constraints(cyclic, 1)
         assert check_feasible(fam, rv, cyclic)
         weights = (rv.as_matrix() * gap_divergence(cyclic.values)).tolist()
-        sup, inf_sets, losses, _ = _copeland_sets(cyclic.values)
-        assert min_lhs_cw(sup, inf_sets, losses, 0, weights) == pytest.approx(1.0)
+        groups = GroupCache(_copeland_sets(cyclic.values))
+        assert min_lhs_cw(groups, 0, weights) == pytest.approx(1.0)
         shrunk = RateVector(4, rv.values * 0.99)
         assert not check_feasible(fam, shrunk, cyclic)
 
@@ -275,10 +277,10 @@ class TestCheckFeasible:
                 cases.append((m, random_rates(rng, k), _copeland_sets(m.values)[3]))
         for m, rv, winners in cases:
             vals = m.values.tolist()
-            sup, inf_sets, losses, _ = _copeland_sets(m.values)
+            sets = _copeland_sets(m.values)
             weights = (rv.as_matrix() * gap_divergence(m.values)).tolist()
             for i1 in winners:
-                assert_min_lhs_match_brute(vals, sup, inf_sets, losses, i1, weights)
+                assert_min_lhs_match_brute(vals, sets, i1, weights)
 
     def test_forced_rival_among_smallest_weights(self):
         # arm 1 beats arms 2-4, which beat each other in a cycle; rival 2 has
@@ -297,10 +299,10 @@ class TestCheckFeasible:
             [0.7, 5.0, 0.0, 5.0],
             [1.0, 5.0, 5.0, 0.0],
         ]
-        sup, inf_sets, losses, _ = _copeland_sets(np.array(vals))
-        assert inf_sets[0] == [1, 2, 3]
-        assert min_lhs_cw(sup, inf_sets, losses, 0, weights) == 0.1 + 0.7
-        assert_min_lhs_match_brute(vals, sup, inf_sets, losses, 0, weights)
+        sets = _copeland_sets(np.array(vals))
+        assert sets[1][0] == [1, 2, 3]
+        assert min_lhs_cw(GroupCache(sets), 0, weights) == 0.1 + 0.7
+        assert_min_lhs_match_brute(vals, sets, 0, weights)
         descs = dict(cw_descriptors(PreferenceMatrix(vals), 1))
         assert descs[(2, 1, (2, 3), ())] == ((2, 1), (3, 1))
 
@@ -311,12 +313,12 @@ class TestCheckFeasible:
         for winner, loser in [(0, 2), (0, 3), (0, 4), (1, 0), (2, 1), (3, 1), (4, 1),
                               (2, 3), (3, 4), (4, 2)]:
             vals[winner, loser], vals[loser, winner] = 0.8, 0.2
-        sup, inf_sets, losses, _ = _copeland_sets(vals)
+        groups = GroupCache(_copeland_sets(vals))
         weights = [[10.0] * 5 for _ in range(5)]
         for j, w in zip((2, 3, 4), (0.1, 0.2, 0.3)):
             weights[j][1] = weights[1][j] = w
         # not sum(): from Python 3.12 on it compensates and returns 0.6
-        assert min_lhs_ecw(sup, inf_sets, losses, 0, weights) == (0.1 + 0.2) + 0.3
+        assert min_lhs_ecw(groups, 0, weights) == (0.1 + 0.2) + 0.3
 
     def test_ecw_feasible_implies_cw_feasible(self):
         rng = np.random.default_rng(33)

@@ -99,14 +99,14 @@ class TestDivergenceBits:
             for (i, j), (w, n) in zip(pairs, targets):
                 update_and_plan(state, cfg, (i + 1, j + 1), int(2 * w > n))
             state._update()
-            sets = state._sets
+            groups = state._groups
             # ... so the remaining draws take the per-draw path, not a rebuild
             for (i, j), (w, n) in zip(pairs, targets):
                 won = int(2 * w > n)
                 for outcome in [1] * (w - won) + [0] * (n - 1 - (w - won)):
                     update_and_plan(state, cfg, (i + 1, j + 1), outcome)
             state._update()
-            assert state._sets is sets
+            assert state._groups is groups
             for (i, j), (w, n) in zip(pairs, targets):
                 assert state.muhat[i][j] == w / n
             assert state._div == gap_divergence(state.muhat).tolist()
@@ -117,21 +117,22 @@ class TestDivergenceBits:
 class TestGroupCacheDrop:
     def test_a_draw_rewrites_one_pin_entry(self):
         sushi = builtin_dataset("sushi")
-        sup, inf_sets, losses, winners = _copeland_sets(sushi.values)
+        sets = _copeland_sets(sushi.values)
         div = gap_divergence(sushi.values).tolist()
-        i1 = winners[0]
-        j = inf_sets[i1][2]
-        groups = GroupCache()
-        _ecw_plan(div, sup, inf_sets, losses, i1, groups=groups)
+        i1 = sets[3][0]
+        inferiors = sets[1][i1]
+        j = inferiors[2]
+        groups = GroupCache(sets)
+        _ecw_plan(groups, div, i1)
         before = dict(groups.pins[i1])
         div[i1][j] *= 1.5
         div[j][i1] *= 1.5
         groups.drop(j, i1)
         assert groups.pins[i1][j] is None
         assert i1 not in groups.pieces and j not in groups.pieces
-        plan = _ecw_plan(div, sup, inf_sets, losses, i1, groups=groups)
-        assert plan == _ecw_plan(div, sup, inf_sets, losses, i1)
+        plan = _ecw_plan(groups, div, i1)
+        assert plan == _ecw_plan(GroupCache(sets), div, i1)
         after = groups.pins[i1]
-        assert list(after) == list(inf_sets[i1])
+        assert list(after) == list(inferiors)
         assert after[j] != before[j]
-        assert all(after[m] is before[m] for m in inf_sets[i1] if m != j)
+        assert all(after[m] is before[m] for m in inferiors if m != j)

@@ -17,7 +17,7 @@ from conftest import random_matrix, random_tied_winner_matrix
 from duelbench import NumericalInstabilityError, builtin_dataset, lower_bound, simplex_solve
 from duelbench import solvers
 from duelbench.cli import main
-from duelbench.constraints import FEASIBILITY_TOL, iter_pairs, min_lhs_cw
+from duelbench.constraints import FEASIBILITY_TOL, GroupCache, iter_pairs, min_lhs_cw
 from duelbench.core import PreferenceMatrix, _copeland_sets, gap_divergence
 from duelbench.solvers import _cw_lp, _lp_pattern, _minimal_sets
 from oracles import cw_lp_enumerated, cw_lp_program, cw_pair_sets
@@ -56,11 +56,12 @@ def highs_constant(values, i1):
 
 def assert_same_lp(matrix):
     values = matrix.values
-    sup, inf_sets, losses, winners = _copeland_sets(values)
+    sets = _copeland_sets(values)
+    winners = sets[3]
     div = gap_divergence(values).tolist()
     constants = []
     for i1 in winners:
-        rates, constant = _cw_lp(div, sup, inf_sets, losses, i1)
+        rates, constant = _cw_lp(GroupCache(sets), div, i1)
         _, reference = cw_lp_enumerated(values, i1)
         assert constant == pytest.approx(reference, rel=1e-9, abs=1e-12)
         assert constant == pytest.approx(highs_constant(values, i1), rel=1e-7, abs=1e-9)
@@ -68,7 +69,7 @@ def assert_same_lp(matrix):
         for (i, j), rate in zip(iter_pairs(matrix.k), rates):
             q[i, j] = q[j, i] = rate
         weights = (q * np.asarray(div)).tolist()
-        assert min_lhs_cw(sup, inf_sets, losses, i1, weights) >= 1.0 - FEASIBILITY_TOL
+        assert min_lhs_cw(GroupCache(sets), i1, weights) >= 1.0 - FEASIBILITY_TOL
         constants.append(reference)
     if not matrix.has_ties:
         constant, winner = lower_bound(matrix)

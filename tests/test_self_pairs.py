@@ -345,7 +345,7 @@ class TestAdvance:
         # the first winner whose budget clears is not the exploited arm
         cfg = AlgorithmConfig()
         state = converged_state(multisol)
-        winners = state._sets[3]
+        winners = state._groups.winners
         assert len(winners) >= 2
         state.lc = [(winners[-1], winners[-1])]
         state.lr = set(state.lc)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import random_matrix
 from duelbench import DuelbenchError, builtin_dataset, solvers
+from duelbench.constraints import GroupCache
 from duelbench.core import _copeland_sets, gap_divergence
 from duelbench.solvers import _cw_lp, simplex_solve
 from oracles import simplex_dense
@@ -47,10 +48,10 @@ def cw_lps(matrices, monkeypatch):
 
     monkeypatch.setattr(solvers, "simplex_solve", record)
     for matrix in matrices:
-        sup, inf_sets, losses, winners = _copeland_sets(matrix.values)
+        sets = _copeland_sets(matrix.values)
         div = gap_divergence(matrix.values).tolist()
-        for i1 in winners:
-            _cw_lp(div, sup, inf_sets, losses, i1)
+        for i1 in sets[3]:
+            _cw_lp(GroupCache(sets), div, i1)
     monkeypatch.undo()
     return lps
 

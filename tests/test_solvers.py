@@ -30,7 +30,7 @@ from duelbench import (
     solve_subproblem,
 )
 from duelbench.core import _copeland_sets
-from duelbench.solvers import _optimal, default_k_max, lp_gate
+from duelbench.solvers import _every_winner, _optimal, default_k_max, lp_gate
 from oracles import subset_lp_rows, subset_solution_feasible
 
 
@@ -384,7 +384,7 @@ class TestAggregates:
                 per_winner = [solve(m, i1) for i1 in winners]
                 low = min(opt.constant for opt in per_winner)
                 first = next(opt for opt in per_winner if opt.constant == low)
-                best = _optimal(m, None, variant)
+                best = _optimal(m, _every_winner(m), variant)
                 assert fields(best) == fields(first)
             assert lower_bound(m) == (low, first.winner)
             assert ecw_constant(m) == min(ecw_optimal(m, i1).constant for i1 in winners)
@@ -393,20 +393,21 @@ class TestAggregates:
         rng = np.random.default_rng(53)
         for _ in range(5):
             m = random_tied_winner_matrix(rng, int(rng.integers(4, 6)))
-            assert fields(ecw_optimal(m)) == fields(_optimal(m, None, "ecw"))
+            assert fields(ecw_optimal(m)) == fields(_optimal(m, _every_winner(m), "ecw"))
             assert ecw_optimal(m).constant == ecw_constant(m)
 
     def test_planners_return_one_rate_per_pair(self):
+        from duelbench.constraints import GroupCache
         from duelbench.solvers import _cw_lp, _ecw_plan
 
         rng = np.random.default_rng(59)
         for _ in range(5):
             m = random_matrix(rng, int(rng.integers(3, 6)))
-            sup, inf_sets, losses, winners = _copeland_sets(m.values)
+            sets = _copeland_sets(m.values)
             div = gap_divergence(m.values).tolist()
             for planner, solve in ((_ecw_plan, ecw_optimal), (_cw_lp, lp_cw_optimal)):
-                for i1 in winners:
-                    rates, constant = planner(div, sup, inf_sets, losses, i1)
+                for i1 in sets[3]:
+                    rates, constant = planner(GroupCache(sets), div, i1)
                     assert len(rates) == m.k * (m.k - 1) // 2
                     opt = solve(m, i1 + 1)
                     assert rates == opt.rates.values.tolist()
@@ -464,7 +465,7 @@ class TestClosedFormBounds:
 def test_internal_lp_handles_tied_estimates():
     # empirical matrices can carry exact ties; tied pairs get a zero box
     # and never enter constraint rows
-    from duelbench.constraints import pair_index
+    from duelbench.constraints import GroupCache, pair_index
     from duelbench.solvers import _cw_lp
 
     m = PreferenceMatrix(
@@ -472,9 +473,8 @@ def test_internal_lp_handles_tied_estimates():
     )
     from duelbench.core import _copeland_sets, gap_divergence
 
-    sup, inf_sets, losses, _ = _copeland_sets(m.values)
     div = gap_divergence(m.values).tolist()
-    q, constant = _cw_lp(div, sup, inf_sets, losses, 0)
+    q, constant = _cw_lp(GroupCache(_copeland_sets(m.values)), div, 0)
     assert q[pair_index(1, 0)] == 0.0  # tied pair is not plannable
     assert constant >= 0.0
     assert math.isfinite(constant)
