@@ -262,10 +262,6 @@ class TestByteOrderMark:
         assert load_matrix("\ufeff" + self.TEXT) == want
         assert load_matrix(io.StringIO("\ufeff" + self.TEXT)) == want
 
-    def test_only_one_mark_is_dropped(self):
-        with pytest.raises(ParseError):
-            load_matrix("\ufeff\ufeff" + self.TEXT)
-
     def test_non_utf8_after_a_mark(self):
         with pytest.raises(ParseError, match="UTF-8"):
             load_matrix(b"\xef\xbb\xbf\xff" + self.TEXT.encode())
