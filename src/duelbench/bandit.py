@@ -25,10 +25,12 @@ pieces of the budgets and plans that read them
 exploring round costs work on the drawn pair's rows and columns rather
 than a K x K rebuild.  Every float equals the one a full rebuild gives.
 The cache owns the empirical Copeland sets, every empirical winner
-listed.  A drawn estimate that changes side of 1/2 changes those sets,
-and then everything is rebuilt, the cache included.  Rounds that change
-nothing but t (self-pair draws) reuse the plan, and the guard runs once
-per round.
+listed, and the budgets and plan made for them.  A drawn estimate that
+changes side of 1/2 changes those sets, and then only the cache is
+replaced: the counts, gaps, divergences and weights are per-pair values
+the draw has already rewritten.  The K x K caches are built once, with
+the state.  Rounds that change nothing but t (self-pair draws) reuse the
+plan, and the guard runs once per round.
 
 Once the loop has converged to exploiting a candidate, the rounds until
 the next event are identical self-pair draws; ``advance_self_pairs``
@@ -118,12 +120,9 @@ class RmedState:
         "_gap",
         "_floor",
         "_touched",
-        "_dirty",
         "_weights",
         "_div",
         "_groups",
-        "_budgets",
-        "_plan",
         "_guard",
     )
 
@@ -139,80 +138,70 @@ class RmedState:
         self.ln_next = set()
         self.cursor = 0
         self.ihat = None  # 1-based once a candidate has been identified
-        # N_ij and |muhat_ij - 1/2| per pair, in _pairs order, kept by every draw
-        self._n = [0] * len(self._pairs)
-        self._gap = [0.0] * len(self._pairs)
-        self._floor = (0, 0.0)  # lower bounds on (min(_n), min(_gap))
-        self._touched = set()  # indices of the pairs drawn since the last _update
-        self._dirty = True  # rebuild everything from counts and muhat
-        self._weights = None
-        self._div = None
-        self._groups = None  # GroupCache of the empirical Copeland sets
-        self._budgets = {}
-        self._plan = None
         self._guard = None  # (round, _first_guarded verdict) from select_pair
+        self._refresh()
 
     # -- planning caches ----------------------------------------------------
 
     def _refresh(self):
-        """Rebuild every cache from counts and muhat."""
+        """Build every cache from counts and muhat.
+
+        The state calls it once, when it is made; the draws keep the caches
+        up to date after that (``_update``).  Tests call it after editing
+        the tallies, and as the reference the kept caches must equal.
+        """
         counts, muhat = self.counts, self.muhat
         # estimates can sit exactly at 1/2; such pairs count in neither set
         self._groups = GroupCache(_copeland_sets(muhat))
         div = gap_divergence(muhat)
         self._div = div.tolist()
         self._weights = (np.array(counts, dtype=float) * div).tolist()
+        # N_ij and |muhat_ij - 1/2| per pair, in _pairs order, kept by every draw
         self._n = [counts[i][j] for i, j in self._pairs]
         self._gap = [abs(muhat[i][j] - 0.5) for i, j in self._pairs]
-        self._floor = (min(self._n), min(self._gap))
-        self._touched = set()
-        self._budgets = {}
-        self._plan = None
-        self._dirty = False
+        self._floor = (min(self._n), min(self._gap))  # lower bounds on both minima
+        self._touched = set()  # indices of the pairs drawn since the last _update
 
     def _update(self):
         """Bring the caches up to date with the pairs drawn since the last update.
 
-        A drawn estimate that has changed side of 1/2 changes the Copeland
-        sets, and everything is rebuilt.  Otherwise only the drawn pairs'
-        divergences and weights are rewritten, and only the cached pieces
-        that read them are dropped.
+        The drawn pairs' divergences and weights are rewritten and the
+        cached pieces that read them dropped.  A drawn estimate that has
+        changed side of 1/2 changes the Copeland sets, and then the
+        GroupCache alone is replaced.
         """
-        if self._dirty:
-            self._refresh()
         if not self._touched:
             return
         muhat, groups = self.muhat, self._groups
         drawn = [self._pairs[p] for p in self._touched]
-        for i, j in drawn:
-            mu = muhat[i][j]
-            if (mu < 0.5) != (j in groups.sup[i]) or (mu > 0.5) != (j in groups.inf[i]):
-                self._refresh()
-                return
+        self._touched.clear()
         div = gap_divergences([muhat[i][j] for i, j in drawn] + [muhat[j][i] for i, j in drawn])
+        moved = False
         for (i, j), dij, dji in zip(drawn, div, div[len(drawn) :]):
-            n = self.counts[i][j]
+            n, mu = self.counts[i][j], muhat[i][j]
             self._div[i][j], self._div[j][i] = dij, dji
             self._weights[i][j], self._weights[j][i] = n * dij, n * dji
             groups.drop(i, j)
-        self._touched.clear()
-        self._budgets = {}
-        self._plan = None
+            moved |= (mu < 0.5) != (j in groups.sup[i]) or (mu > 0.5) != (j in groups.inf[i])
+        if moved:
+            self._groups = GroupCache(_copeland_sets(muhat))
 
     def _budget(self, i1: int, variant: str) -> float:
-        cached = self._budgets.get(i1)
+        groups = self._groups
+        cached = groups.budgets.get(i1)
         if cached is None:
             min_lhs = min_lhs_cw if variant == "cw" else min_lhs_ecw
-            cached = self._budgets[i1] = min_lhs(self._groups, i1, self._weights)
+            cached = groups.budgets[i1] = min_lhs(groups, i1, self._weights)
         return cached
 
     def _planned(self, variant: str):
         """(winner, rates, indices of the nonzero rates) of the argmin-winner plan."""
-        if self._plan is None:
+        groups = self._groups
+        if groups.plan is None:
             planner = _cw_lp if variant == "cw" else _ecw_plan
-            ihat, rates, _ = _best_plan(planner, self._groups, self._div)
-            self._plan = ihat, rates, list(compress(range(len(rates)), rates))
-        return self._plan
+            ihat, rates, _ = _best_plan(planner, groups, self._div)
+            groups.plan = ihat, rates, list(compress(range(len(rates)), rates))
+        return groups.plan
 
 
 def _count_need(alpha: float, t: int) -> float:
@@ -227,8 +216,6 @@ def _first_guarded(state: RmedState, config: AlgorithmConfig):
     min(_gap), pass; only when they do not are the exact minima taken,
     and the pairs scanned only when those fail too.
     """
-    if state._dirty:
-        state._refresh()
     t = state.t
     need = _count_need(config.alpha, t)
     near = inf if t <= BOOTSTRAP_ROUNDS else config.beta / log(log(t))
@@ -395,7 +382,6 @@ def advance_self_pairs(state: RmedState, config: AlgorithmConfig, last_round: in
     t = state.t
     if (
         config.variant == "random"
-        or state._dirty
         or state._touched
         or state.cursor
         or state.ln_next

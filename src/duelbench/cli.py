@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import core, harness, solvers
-from .bandit import DEFAULT_ALPHA, DEFAULT_BETA, AlgorithmConfig
+from .bandit import DEFAULT_ALPHA, DEFAULT_BETA, VARIANTS, AlgorithmConfig
 from .errors import DuelbenchError
 
 
@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = subs.add_parser("run", help="Monte-Carlo regret simulation")
     _add_source_flags(p_run)
-    p_run.add_argument("--algo", required=True, choices=("cw", "ecw", "random"))
+    p_run.add_argument("--algo", required=True, choices=VARIANTS)
     p_run.add_argument("--T", dest="horizon", type=int, required=True, help="number of rounds")
     p_run.add_argument("--runs", type=int, default=100)
     p_run.add_argument("--seed", type=int, default=0)

@@ -48,6 +48,7 @@ import numpy as np
 from .core import (
     PreferenceMatrix,
     _check_integer,
+    _check_real,
     _check_strict_gaps,
     _copeland_sets,
     _float_array,
@@ -109,18 +110,23 @@ class RateVector:
 
     @classmethod
     def from_map(cls, k: int, mapping) -> "RateVector":
-        """Build from a {"i-j": rate} map with 1-based i > j keys."""
+        """Build from a {"i-j": rate} map with 1-based i > j keys, one per pair."""
         k = _check_integer(k, "K", 1)
         vals = np.zeros(pair_count(k))
+        seen = set()
         for key, rate in mapping.items():
             try:
                 i_s, j_s = key.split("-")
-                i, j, rate = int(i_s), int(j_s), float(rate)
+                i, j = int(i_s), int(j_s)
             except (AttributeError, TypeError, ValueError):
                 raise ValidationError(f"bad rate entry {key!r}: {rate!r}") from None
             if not (1 <= j < i <= k):
                 raise ValidationError(f"bad pair key {key!r} for K={k}")
-            vals[pair_index(i - 1, j - 1)] = rate
+            p = pair_index(i - 1, j - 1)
+            if p in seen:
+                raise ValidationError(f"pair key {key!r} repeats the pair {i}-{j}")
+            seen.add(p)
+            vals[p] = _check_real(rate, f"rate {key!r}")
         return cls(k, vals)
 
     def get(self, i: int, j: int) -> float:
@@ -229,7 +235,7 @@ def ecw_constraints(matrix: PreferenceMatrix, i1: int) -> ConstraintFamily:
 
 
 class GroupCache:
-    """Copeland sets, regret rates and the budget and plan pieces made for them.
+    """Copeland sets, regret rates and the budgets, plans and pieces made for them.
 
     ``sets`` is (superiors, inferiors, losses, winners), all 0-based, and
     ``winners`` the arms that budgets and plans are made for: every
@@ -239,14 +245,16 @@ class GroupCache:
     read them, so a new cache gives the same answers as a full one.  A
     winner's pins read its row of weights or divergences, one entry per
     pair; a rival's column and subproblems read its column.  The relaxed
-    rivals and the exact LP's row pattern read only the sets.  A caller
-    that changes the pair (l, m) calls ``drop(l, m)``; a change of the sets
-    needs a new cache.
+    rivals and the exact LP's row pattern read only the sets.  The bandit
+    keeps each winner's budget and its argmin plan here too; they read
+    every pair.  A caller that changes the pair (l, m) calls
+    ``drop(l, m)``; a change of the sets needs a new cache.
     """
 
     __slots__ = (
         "sup", "inf", "losses", "winners", "regret",  # fixed for the cache's life
         "rivals", "columns", "pins", "pieces", "lp_rows",  # filled as they are read
+        "budgets", "plan",  # filled by the bandit's RmedState
     )
 
     def __init__(self, sets):
@@ -257,14 +265,18 @@ class GroupCache:
         self.pins = {}  # i1 -> {j: _ecw_plan's (pair, rate, regret) entry, None if stale}
         self.pieces = {}  # i2 -> {i1: _ecw_plan's entries of rival i2}
         self.lp_rows = {}  # i1 -> _cw_lp's 0/1 row pattern of i1's minimal pair sets
+        self.budgets = {}  # i1 -> min_lhs of i1's family at the bandit's weights
+        self.plan = None  # (winner, rates, indices of the nonzero rates) of the argmin plan
 
     def drop(self, l: int, m: int) -> None:
-        """Forget the pieces that read the weight or divergence of the pair (l, m).
+        """Forget the budgets, the plan and the pieces that read the pair (l, m).
 
         The pair sits in the columns of l and m, whose pieces go, and in
         the pins of whichever of them beats the other, whose entry for the
         pair is marked stale.
         """
+        self.budgets.clear()
+        self.plan = None
         for a, b in ((l, m), (m, l)):
             self.columns.pop(a, None)
             self.pieces.pop(a, None)

@@ -7,12 +7,13 @@ Intended for K <= 6, and K = 8 for ``cw_lp_enumerated``, the exact LP
 over every distinct P_IS, the reference for the library's LP over the
 minimal ones.  ``run_per_round`` is the simulation loop stepped one
 round at a time, the reference for the harness's stretch skipping;
-``run_rebuilt`` also rebuilds the bandit's caches before every plan, the
-reference for their draw-by-draw upkeep.  ``simplex_dense`` is the
-simplex on the full tableau, the reference for the condensed one.
-``gap_divergence_numpy`` is the divergence in numpy array operations,
-the reference for ``core.gap_divergences``; ``first_guarded_scan`` the
-guard as a scan over the tallies, the reference for the bandit's floors.
+``run_rebuilt`` also rebuilds the bandit's caches before every guard
+scan and every plan, the reference for their draw-by-draw upkeep.
+``simplex_dense`` is the simplex on the full tableau, the reference for
+the condensed one.  ``gap_divergence_numpy`` is the divergence in numpy
+array operations, the reference for ``core.gap_divergences``;
+``first_guarded_scan`` the guard as a scan over the tallies, the
+reference for the bandit's floors.
 """
 
 import copy
@@ -273,13 +274,20 @@ def subset_solution_feasible(y, slack, tol=1e-9):
     )
 
 
+class RebuiltState(RmedState):
+    """An ``RmedState`` whose plan step rebuilds every cache from the tallies."""
+
+    __slots__ = ()
+    _update = RmedState._refresh
+
+
 def run_per_round(matrix, config, horizon, seed, rebuild=False):
     """Reference simulation loop: every round through select_pair/update_and_plan.
 
     Same contract as ``harness._run_single`` (checkpoints, regret row,
     terminal state), without applying any stretch of rounds in one step.
-    With ``rebuild``, every plan is made from caches rebuilt in full from
-    the tallies, not kept up to date draw by draw.
+    With ``rebuild``, every guard scan and every plan reads caches rebuilt
+    in full from the tallies, not kept up to date draw by draw.
     """
     _check_preconditions(matrix, config, horizon)
     k = matrix.k
@@ -287,7 +295,7 @@ def run_per_round(matrix, config, horizon, seed, rebuild=False):
     _, _, losses, _ = _copeland_sets(matrix.values)
     rnum = _regret_nums(losses)
     rng = np.random.default_rng(seed)
-    state = RmedState(k)
+    state = RebuiltState(k) if rebuild else RmedState(k)
     grid = checkpoint_grid(horizon)
     row = []
     cp_idx = 0
@@ -296,14 +304,11 @@ def run_per_round(matrix, config, horizon, seed, rebuild=False):
         if config.variant == "random":
             l, m = random_baseline_select(rng, k)
         else:
+            if rebuild:
+                state._refresh()
             l, m = select_pair(state, config)
         outcome = None if l == m else (1 if rng.random() < vals[l - 1][m - 1] else 0)
-        if rebuild:
-            # the guard verdict of select_pair is kept, so the rebuild happens
-            # after this draw is tallied and before the plan reads the caches
-            state._dirty = True
-        else:
-            state._guard = None  # update_and_plan rescans the guards itself
+        state._guard = None  # update_and_plan rescans the guards itself
         update_and_plan(state, config, (l, m), outcome)
         acc += rnum[l - 1][m - 1]
         if t == grid[cp_idx]:
@@ -313,7 +318,7 @@ def run_per_round(matrix, config, horizon, seed, rebuild=False):
 
 
 def run_rebuilt(matrix, config, horizon, seed):
-    """``run_per_round`` with every plan made from a full ``RmedState._refresh()``."""
+    """``run_per_round`` with every guard scan and plan reading a full ``RmedState._refresh()``."""
     return run_per_round(matrix, config, horizon, seed, rebuild=True)
 
 

@@ -81,6 +81,8 @@ ERRORS = [
     ("RateVector", "values", lambda: RateVector(2, ["a"]), ValidationError),
     ("RateVector.zeros", "k", lambda: RateVector.zeros(2.5), ValidationError),
     ("RateVector.from_map", "k", lambda: RateVector.from_map(2.5, {}), ValidationError),
+    ("RateVector.from_map", "rate=True", lambda: RateVector.from_map(2, {"2-1": True}), ValidationError),
+    ("RateVector.from_map", "rate='0.5'", lambda: RateVector.from_map(2, {"2-1": "0.5"}), ValidationError),
     ("RateVector.get", "i", lambda: RateVector.zeros(4).get(2.5, 1), ValidationError),
     ("RateVector.get", "j", lambda: RateVector.zeros(4).get(1, 2.5), ValidationError),
     ("cw_constraints", "i1", lambda: cw_constraints(M, 1.5), ValidationError),

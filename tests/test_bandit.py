@@ -31,7 +31,7 @@ def exploit_ready_state(matrix, t=2000, n=1000):
             state.wins[i][j] = wins
             state.counts[i][j] = n
             state.muhat[i][j] = wins / n
-    state._dirty = True
+    state._refresh()
     return state
 
 
@@ -127,7 +127,7 @@ class TestSelectPair:
         state.wins[0][1] = 40
         state.muhat[1][0] = 0.6
         state.muhat[0][1] = 0.4
-        state._dirty = True
+        state._refresh()
         state.lc = [(0, 0)]
         state.lr = {(0, 0)}
         state.cursor = 0

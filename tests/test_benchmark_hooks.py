@@ -42,7 +42,7 @@ LIVE = [
     ("harness", "update_and_plan"),
     ("harness", "_copeland_sets"),
     ("harness", "_regret_nums"),
-    ("bandit", "gap_divergence"),  # the full rebuild's; a draw takes gap_divergences
+    ("bandit", "gap_divergence"),  # construction's; a draw takes gap_divergences
     ("bandit", "min_lhs_ecw"),
     ("bandit", "min_lhs_cw"),
     ("bandit", "_ecw_plan"),

@@ -113,6 +113,14 @@ class TestRateVector:
         with pytest.raises(ValidationError, match=repr(key)):
             RateVector.from_map(3, mapping)
 
+    @pytest.mark.parametrize(
+        "mapping,key",
+        [({"2-1": 1.0, "02-1": 5.0}, "02-1"), ({"2-1": 1, "2-1 ": 2}, "2-1 ")],
+    )
+    def test_repeated_pair(self, mapping, key):
+        with pytest.raises(ValidationError, match=f"{key!r} repeats the pair 2-1"):
+            RateVector.from_map(3, mapping)
+
     def test_trivial_matches_divergence(self, cyclic):
         rv = RateVector.trivial(cyclic)
         assert rv.get(2, 1) == pytest.approx(1.0 / kl_bernoulli(0.6, 0.5))

@@ -1,9 +1,11 @@
 """The bandit's caches, kept up to date draw by draw, equal a full rebuild.
 
 ``harness._run_single`` lets ``RmedState`` rewrite only the drawn pairs'
-divergences and weights and drop only the cached pieces that read them;
+divergences and weights and drop only the cached pieces that read them,
+or replace the ``GroupCache`` when the Copeland sets move;
 ``oracles.run_rebuilt`` rebuilds every cache from the tallies before each
-plan.  Their rows and terminal states must match exactly.
+guard scan and plan.  Their rows and terminal states must match exactly.
+The full rebuild runs once per run, when the state is made.
 """
 
 import math
@@ -13,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duelbench import AlgorithmConfig, RmedState, builtin_dataset, update_and_plan
-from duelbench.constraints import GroupCache
+from duelbench import AlgorithmConfig, RmedState, builtin_dataset, simulate_batch, update_and_plan
+from duelbench.constraints import GroupCache, iter_pairs
 from duelbench.core import _copeland_sets, gap_divergence, sample_submatrix
+from duelbench import bandit
 from duelbench.harness import _run_single
 from duelbench.solvers import _ecw_plan
 from conftest import random_matrix
@@ -136,3 +139,44 @@ class TestGroupCacheDrop:
         assert list(after) == list(inferiors)
         assert after[j] != before[j]
         assert all(after[m] is before[m] for m in inferiors if m != j)
+
+
+def bits(rows):
+    return [[x.hex() for x in row] for row in rows]
+
+
+class TestCopelandChange:
+    def test_a_crossing_draw_replaces_only_the_group_cache(self, monkeypatch):
+        cfg = AlgorithmConfig(variant="random")  # accepts any pair, never plans
+        state = RmedState(4)
+        for (i, j), outcome in zip(iter_pairs(4), [1, 0, 1, 1, 0, 1]):
+            update_and_plan(state, cfg, (i + 1, j + 1), outcome)
+        update_and_plan(state, cfg, (2, 1), 1)  # arm 2 beats arm 1 in 2 of 2
+        state._update()
+        groups = state._groups
+        assert 0 in groups.inf[1]
+        refreshes = []
+        monkeypatch.setattr(RmedState, "_refresh", lambda self: refreshes.append(self))
+        for _ in range(3):
+            update_and_plan(state, cfg, (2, 1), 0)  # 2 of 5: arm 1 now beats arm 2
+        state._update()
+        assert state._groups is not groups
+        assert refreshes == []
+        monkeypatch.undo()
+        assert 0 in state._groups.sup[1]
+        div = gap_divergence(state.muhat)
+        assert bits(state._div) == bits(div.tolist())
+        assert bits(state._weights) == bits((np.array(state.counts, dtype=float) * div).tolist())
+        assert_caches_match_a_rebuild(state, "ecw")
+
+    def test_one_full_rebuild_per_run(self, monkeypatch):
+        # the exploring benchmark's call: sushi ecw T=5e3 moves the Copeland
+        # sets 15 times, and each move replaces only the GroupCache
+        refreshes, caches = [], []
+        refresh, cache = RmedState._refresh, bandit.GroupCache
+        monkeypatch.setattr(RmedState, "_refresh", lambda self: refreshes.append(1) or refresh(self))
+        monkeypatch.setattr(bandit, "GroupCache", lambda sets: caches.append(1) or cache(sets))
+        sushi = builtin_dataset("sushi")
+        simulate_batch(sushi, AlgorithmConfig(variant="ecw"), 5_000, runs=1, master_seed=0)
+        assert len(refreshes) == 1
+        assert len(caches) == 16

@@ -319,9 +319,6 @@ class TestAdvance:
         cfg = AlgorithmConfig()
         assert advance_self_pairs(converged_state(cyclic), cfg, 5000) == 3001
         state = converged_state(cyclic)
-        state._dirty = True
-        assert advance_self_pairs(state, cfg, 5000) == 0
-        state = converged_state(cyclic)
         state.lc = [(0, 0), (1, 0)]
         assert advance_self_pairs(state, cfg, 5000) == 0
         state = converged_state(cyclic)
