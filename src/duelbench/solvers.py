@@ -11,7 +11,10 @@ constraints plus per-pair box bounds, solved exactly by the in-house
 simplex below (Bland's rule, deterministic).  It pivots on the condensed
 tableau, which keeps a column per nonbasic variable only; the basic
 columns it leaves out are exact unit vectors, so its pivots and answers
-are bit for bit those of the full tableau.  The LP's rows are the
+are bit for bit those of the full tableau.  An LP with no more rows than
+variables, such as the bandit's replans, pivots on Python lists and
+updates only the cells a pivot changes; a larger one pivots on numpy
+arrays.  Both kernels give the same bits.  The LP's rows are the
 minimal pair sets P_IS of the enumerated family: a set that strictly
 contains another is implied by it, since coefficients are per pair and
 nonnegative and x >= 0, so dropping it leaves the feasible polytope, and
@@ -27,6 +30,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 
 import numpy as np
 
@@ -152,7 +157,8 @@ def simplex_solve(costs, constraints, upper_bounds):
     """Minimize costs . x subject to row . x >= 1 per row and 0 <= x <= u.
 
     ``costs`` and ``upper_bounds`` are finite 1-D arrays of one length n,
-    ``constraints`` is empty or an r x n array of finite coefficients.
+    ``constraints`` is an r x n array of finite coefficients; a plain
+    empty sequence means r = 0.
     All row coefficients must be nonnegative and the box point x = u must
     satisfy every row (it does for divergence families, where u is the
     per-pair budget cap).  Substituting x = u - z turns the box point into
@@ -167,6 +173,13 @@ def simplex_solve(costs, constraints, upper_bounds):
     from it; every stored cell is the same float expression as there, and
     the pivots, x and the value are bit for bit those of the full tableau.
 
+    An LP with no more rows than variables (r <= n) pivots on Python
+    lists (_list_pivots), a larger one on numpy arrays (_numpy_pivots).
+    The list kernel skips exactly the cells where the array update
+    subtracts a product with an exact zero factor, so at most the sign of
+    a zero cell differs, which no comparison, ratio or u - z can see: both
+    give the same pivots, x and value.
+
     Returns (x, value) with x an optimal vertex.  Raises
     NumericalInstabilityError past PIVOTS_PER_ROW pivots per tableau row.
     """
@@ -179,20 +192,36 @@ def simplex_solve(costs, constraints, upper_bounds):
         raise ValidationError("objective and box sizes differ")
     if (u < 0).any() or not np.isfinite(u).all():
         raise ValidationError("box bounds must be finite and nonnegative")
-    rows = _float_array(constraints, "constraints") if len(constraints) else np.zeros((0, n))
+    rows = _float_array(constraints, "constraints")
+    if rows.shape == (0,) and not isinstance(constraints, np.ndarray):
+        rows = rows.reshape(0, n)
     if rows.ndim != 2 or rows.shape[1] != n:
         raise ValidationError(f"constraints must be an r x {n} array, got shape {rows.shape}")
     if not np.isfinite(rows).all():
         raise ValidationError("constraint coefficients must be finite")
     if (rows < 0).any():
         raise ValidationError("constraint coefficients must be nonnegative")
-    r = rows.shape[0]
     b = rows @ u - 1.0
     if (b < -1e-9).any():
         bad = int(np.argmin(b))
         raise ValidationError(f"constraint row {bad} is violated even at the box point")
     b = np.maximum(b, 0.0)
 
+    kernel = _list_pivots if rows.shape[0] <= n else _numpy_pivots
+    z = np.zeros(n)
+    for bv, value in zip(*kernel(c, rows, b, u)):
+        if bv < n:
+            z[bv] = value
+    x = np.clip(u - z, 0.0, u)
+    return x, float(c @ x)
+
+
+def _numpy_pivots(c, rows, b, u):
+    """The condensed simplex on numpy arrays: (basic variable, value) lists, one per row.
+
+    Each pivot is one rank-one update of the whole tableau.
+    """
+    r, n = rows.shape
     m = r + n
     tab = np.zeros((m + 1, n + 1))
     tab[:r, :n] = rows
@@ -233,13 +262,62 @@ def simplex_solve(costs, constraints, upper_bounds):
         tab -= colv[:, None] * prow
         tab[i] = prow
         basis[i], nonbasic[j] = nonbasic[j], basis[i]
+    return basis.tolist(), tab[:m, -1].tolist()
 
-    z = np.zeros(n)
-    for i, bv in enumerate(basis.tolist()):
-        if bv < n:
-            z[bv] = tab[i, -1]
-    x = np.clip(u - z, 0.0, u)
-    return x, float(c @ x)
+
+def _list_pivots(c, rows, b, u):
+    """The condensed simplex on Python lists: (basic variable, value) lists, one per row.
+
+    The same pivots as _numpy_pivots, but a pivot updates only the rows
+    with a nonzero in the entering column, and in them only the pivot
+    row's nonzero cells, by the same expression ``x - cv * p``.
+    """
+    r, n = rows.shape
+    m = r + n
+    tab = [row + [bk] for row, bk in zip(rows.tolist(), b.tolist())]
+    for k, uk in enumerate(u.tolist()):
+        row = [0.0] * (n + 1)
+        row[k], row[n] = 1.0, uk
+        tab.append(row)
+    obj = c.tolist() + [0.0]  # reduced costs of max c.z
+    tab.append(obj)
+    basis = list(range(n, n + m))  # variable of each row: z first, then the slacks
+    nonbasic = list(range(n))  # variable of each column but the rhs, which never enters
+
+    cap = PIVOTS_PER_ROW * m
+    pivots = 0
+    while True:
+        # Bland: the smallest variable index among the columns with a positive reduced cost
+        keys = [v for v, cost in zip(nonbasic, obj) if cost > 1e-9]
+        if not keys:
+            break
+        j = nonbasic.index(min(keys))
+        if pivots >= cap:
+            raise NumericalInstabilityError(f"simplex not optimal after {pivots} pivots")
+        pivots += 1
+        # the rows with a nonzero in column j; the objective row is one of them
+        hits = list(compress(range(m + 1), map(itemgetter(j), tab)))
+        ratios = [(tab[k][n] / tab[k][j], k) for k in hits[:-1] if tab[k][j] > 1e-11]
+        if not ratios:
+            raise NumericalInstabilityError(
+                "no pivot above 1e-11 available in entering column"
+            )
+        low = min(ratios)[0] + 1e-12
+        i = min((basis[k], k) for ratio, k in ratios if ratio <= low)[1]
+        pivot = tab[i][j]
+        prow = [v / pivot for v in tab[i]]
+        pj = prow[j] = 1.0 / pivot  # the leaving variable's column, a unit vector before
+        cells = [(col, p) for col, p in enumerate(prow) if p and col != j]
+        for k in hits:
+            if k != i:
+                row = tab[k]
+                cv = row[j]
+                for col, p in cells:
+                    row[col] -= cv * p
+                row[j] = 0.0 - cv * pj
+        tab[i] = prow
+        basis[i], nonbasic[j] = nonbasic[j], basis[i]
+    return basis, [row[n] for row in tab[:m]]
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,10 @@ round at a time, the reference for the harness's stretch skipping;
 ``run_rebuilt`` also rebuilds the bandit's caches before every guard
 scan and every plan, the reference for their draw-by-draw upkeep.
 ``simplex_dense`` is the simplex on the full tableau, the reference for
-the condensed one.  ``gap_divergence_numpy`` is the divergence in numpy
-array operations, the reference for ``core.gap_divergences``;
-``first_guarded_scan`` the guard as a scan over the tallies, the
-reference for the bandit's floors.
+both kernels of the condensed one.  ``gap_divergence_numpy`` is the
+divergence in numpy array operations, the reference for
+``core.gap_divergences``; ``first_guarded_scan`` the guard as a scan
+over the tallies, the reference for the bandit's floors.
 """
 
 import copy
@@ -189,8 +189,10 @@ def simplex_dense(costs, constraints, upper_bounds):
     NumericalInstabilityError past PIVOTS_PER_ROW pivots per tableau row.
 
     The full tableau, (r+n+1) x (2n+r+1), with a column for every
-    variable: the reference for ``solvers.simplex_solve``, which keeps the
-    nonbasic columns only and must match it bit for bit.
+    variable: the reference for both pivot kernels of
+    ``solvers.simplex_solve``, which keep the nonbasic columns only and
+    must match it bit for bit: ``_list_pivots``, taken when r <= n, and
+    ``_numpy_pivots``, taken when r > n.
     """
     c = np.asarray(costs, dtype=float)
     u = np.asarray(upper_bounds, dtype=float)

@@ -75,6 +75,10 @@ BOUNDS_PINS = {
 
 DATASETS_PIN = "ad80cd9c6136b8391c02ce1e7dfb2af73d148ae18c2d0a297ea8ac78c5608f08"
 
+#: sha256 of the trace of one cw run on the K=6 sushi submatrix: LPs of
+#: 8 or 11 rows over 15 pairs, the shape of a bandit that replans often
+SUSHI_SUB6_CW_PIN = "20bbe3bc914dde1b8b1b036274d9a0e7c11604d27a81e4ea556d4e5b8bccd8b4"
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -123,3 +127,19 @@ def test_bounds_output_bytes(capsys, dataset):
 
 def test_datasets_output_bytes(capsys):
     assert sha256(cli_stdout(capsys, "datasets")) == DATASETS_PIN
+
+
+def test_cw_run_on_sushi_submatrix_bytes(capsys, tmp_path):
+    csv = tmp_path / "sushi_sub6.csv"
+    cli_stdout(
+        capsys,
+        "submatrix", "--dataset", "sushi", "--k", "6", "--min-gap", "0.02",
+        "--seed", "3", "--output", str(csv),
+    )
+    trace = tmp_path / "cw.json"
+    cli_stdout(
+        capsys,
+        "run", "--input", str(csv), "--algo", "cw", "--T", "1000", "--runs", "1",
+        "--seed", "0", "--output", str(trace),
+    )
+    assert sha256(trace.read_bytes()) == SUSHI_SUB6_CW_PIN

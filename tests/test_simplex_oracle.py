@@ -121,3 +121,122 @@ def test_small_integer_lps(lp):
 def test_no_rows_or_no_variables(lp):
     assert_same_pivots(lp)
     assert not isinstance(outcome(simplex_solve, lp)[0], type)
+
+
+# ---------------------------------------------------------------------------
+# each pivot kernel on its own, whatever the dispatch rule would choose
+
+KERNELS = ["_list_pivots", "_numpy_pivots"]
+
+#: the LPs of test_no_rows_or_no_variables
+EMPTY_LPS = [
+    ([1.0, 2.0], [], [5.0, 5.0]),
+    ([-1.0, 0.0, 3.0], np.zeros((0, 3)), [1.0, 0.0, 2.0]),
+    ([], [], []),
+    ([], np.zeros((0, 0)), np.zeros(0)),
+]
+
+
+def forced(name):
+    """simplex_solve with every LP sent to the kernel ``name``."""
+    kernel = getattr(solvers, name)
+
+    def solve(*lp):
+        with pytest.MonkeyPatch.context() as patch:
+            for other in KERNELS:
+                patch.setattr(solvers, other, kernel)
+            return simplex_solve(*lp)
+
+    return solve
+
+
+def assert_kernels_match_dense(lp):
+    dense = outcome(simplex_dense, lp)
+    for name in KERNELS:
+        assert outcome(forced(name), lp) == dense, name
+
+
+def test_each_kernel_on_cw_lps_of_random_and_golden_matrices(monkeypatch):
+    rng = np.random.default_rng(1010)
+    matrices = [random_matrix(rng, k) for k in (7, 7, 7, 8, 8, 8)]
+    matrices += [random_matrix(rng, k, tie_rate=0.2) for k in (7, 8)]
+    matrices += [
+        m for m in map(builtin_dataset, GOLDEN_DATASETS) if m.k <= solvers.DEFAULT_K_MAX
+    ]
+    lps = cw_lps(matrices, monkeypatch)
+    # LPs on both sides of the dispatch rule
+    assert {len(rows) <= len(c) for c, rows, _ in lps} == {True, False}
+    for lp in lps:
+        assert_kernels_match_dense(lp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_lps())
+def test_each_kernel_on_small_integer_lps(lp):
+    assert_kernels_match_dense(lp)
+    m = len(lp[1]) + len(lp[0])
+    if m == 0:
+        return
+    # the Fraction cap walk of test_small_integer_lps, for each kernel
+    with pytest.MonkeyPatch.context() as patch:
+        for p in range(PIVOT_LIMIT):
+            patch.setattr(solvers, "PIVOTS_PER_ROW", Fraction(p, m))
+            dense = outcome(simplex_dense, lp)
+            for name in KERNELS:
+                assert outcome(forced(name), lp) == dense, (name, p)
+            if isinstance(dense[0], bytes):
+                break
+        else:
+            pytest.fail(f"no optimum within {PIVOT_LIMIT} pivots")
+
+
+@pytest.mark.parametrize("lp", EMPTY_LPS)
+def test_each_kernel_with_no_rows_or_no_variables(lp):
+    assert_kernels_match_dense(lp)
+
+
+def test_list_kernel_exactly_when_no_more_rows_than_variables(monkeypatch):
+    taken = []
+    for name in KERNELS:
+        kernel = getattr(solvers, name)
+
+        def record(*args, name=name, kernel=kernel):
+            taken.append(name)
+            return kernel(*args)
+
+        monkeypatch.setattr(solvers, name, record)
+    for n in range(4):
+        for r in range(2 * n + 3):
+            taken.clear()
+            rows = np.ones((r, n))
+            if n == 0 and r > 0:
+                continue  # no variables: every row is violated at the box point
+            simplex_solve(np.ones(n), rows, np.ones(n))
+            assert taken == ["_list_pivots" if r <= n else "_numpy_pivots"], (r, n)
+
+
+@st.composite
+def divergence_lps(draw):
+    """cw-shaped LPs: sparse 0/1 pair sets scaled by per-pair divergences, u = 1/d.
+
+    n is the pair count of K = 5 to 8 arms and r runs to 2n, so the LPs
+    fall on both sides of the dispatch rule.  Rows with a single pair
+    make degenerate pivots and ratio ties common.
+    """
+    k = draw(st.sampled_from([5, 6, 7, 8]))
+    n = k * (k - 1) // 2
+    r = draw(st.integers(1, 2 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pattern = rng.random((r, n)) < 0.15
+    pattern[np.arange(r), rng.integers(0, n, r)] = True
+    div = rng.uniform(0.001, 0.7, n)
+    steps = 2 * (k - 1)
+    costs = rng.integers(0, steps + 1, n) / steps
+    return costs, pattern * div, 1.0 / div
+
+
+@settings(max_examples=150, deadline=None)
+@given(divergence_lps())
+def test_each_kernel_on_divergence_lps(lp):
+    assert_kernels_match_dense(lp)
+    assert isinstance(outcome(simplex_solve, lp)[0], bytes)

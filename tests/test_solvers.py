@@ -135,11 +135,19 @@ class TestSimplex:
             ([1.0, 1.0], [[math.nan, 1.0]], [1.0, 1.0]),
             ([], [[]], []),  # no variables: the row cannot hold
             (["a"], [[1.0]], [1.0]),
+            ([1.0, 2.0], np.zeros((0, 3)), [1.0, 1.0]),  # no rows, but three wide
+            ([1.0, 2.0], np.zeros(0), [1.0, 1.0]),  # a flat empty array
         ],
     )
     def test_malformed_input(self, costs, rows, box):
         with pytest.raises(ValidationError):
             simplex_solve(costs, rows, box)
+
+    @pytest.mark.parametrize("rows", [(), np.zeros((0, 2))])
+    def test_empty_tuple_or_r_by_n_array_means_no_rows(self, rows):
+        x, val = simplex_solve([1.0, 2.0], rows, [5.0, 5.0])
+        assert x.tolist() == [0.0, 0.0]
+        assert val == 0.0
 
     def test_against_scipy_on_random_instances(self):
         rng = np.random.default_rng(41)
