@@ -18,7 +18,10 @@ arrays.  Both kernels give the same bits.  The LP's rows are the
 minimal pair sets P_IS of the enumerated family: a set that strictly
 contains another is implied by it, since coefficients are per pair and
 nonnegative and x >= 0, so dropping it leaves the feasible polytope, and
-the optimum, unchanged.  Both planners take a ``GroupCache``, which
+the optimum, unchanged.  Finding them takes time linear in the
+descriptor stream: a set with a rival side can contain only sets with
+none, so only those few are checked against each other (``_lp_pattern``
+gives the proof).  Both planners take a ``GroupCache``, which
 owns the Copeland sets, the winners to plan for and each pair's regret
 rate; the row pattern reads only the sets and is kept there per winner.
 The LP is gated at K_max arms because the enumeration grows
@@ -369,6 +372,8 @@ def _minimal_sets(masks):
     ``masks`` must be distinct.  Taken by ascending popcount, a mask is
     checked against the masks kept so far: a contained one has fewer
     bits, and a mask that contains a dropped one contains a kept one too.
+    The check is quadratic in the kept masks, so ``_lp_pattern`` gives it
+    only the sets with no rival side, at most 2^|H| of them.
     """
     kept = []
     for mask in sorted(masks, key=int.bit_count):
@@ -382,27 +387,55 @@ def _minimal_sets(masks):
 
 
 def _lp_pattern(sup, inf_sets, losses, i1):
-    """0/1 rows of the minimal pair sets P_IS of winner i1, in first-seen order."""
+    """0/1 rows of the minimal pair sets P_IS of winner i1, in first-seen order.
+
+    A set is minimal if it strictly contains no other set of the stream.
+    That is decided in time linear in the stream, by where the pairs lie.
+    The I side of a descriptor holds pairs (i1, j) with j in H, the arms
+    i1 beats; its S side holds pairs (i2, j) where j beats i2 and j != i1.
+    No I side holds such a pair, since every I pair touches i1 and no S
+    pair does, and no other rival's S side does, since that would need i2
+    and j to beat each other.  So a set with a nonempty S side can
+    strictly contain only sets of its own rival and "I-only" sets, whose
+    S side is empty.
+
+    Within one rival it contains none.  At level l a set without the pair
+    (i1, i2) has |I| + |S| = L_i2 - L_i1 + 1, and a set with it has
+    L_i2 - L_i1 unless S was clipped to empty.  Two sets of the same kind
+    are the same size, so neither strictly contains the other; a set
+    without (i1, i2) is larger than one with it, and one with it cannot
+    lie inside one without it.
+
+    So an I-only set is kept iff it contains no other I-only set
+    (``_minimal_sets`` over the I-only sets alone, at most 2^|H| of
+    them), and a set with a nonempty S side is kept iff its I side
+    contains no kept I-only set.  A mask that contains a dropped I-only
+    set contains a kept one too.
+    """
     k = len(losses)
     bits = [[1 << pair_index(i, j) if i != j else 0 for j in range(k)] for i in range(k)]
     own = bits[i1]
-    masks = {}  # a dict keeps the first-seen order
+    sides = {}  # mask -> its I side; a dict keeps the first-seen order
     for i2, _l, iset, sset in _iter_cw_descriptors(sup, inf_sets, losses, i1):
-        mask = 0
+        side = 0
         for j in iset:
-            mask |= own[j]
+            side |= own[j]
+        mask = side
         rival = bits[i2]
         for j in sset:
             mask |= rival[j]
-        masks[mask] = None
-    kept = _minimal_sets(list(masks))
-    pattern = np.zeros((len(kept), pair_count(k)))
-    for row, mask in zip(pattern, kept):
-        while mask:
-            low = mask & -mask
-            row[low.bit_length() - 1] = 1.0
-            mask ^= low
-    return pattern
+        sides[mask] = side
+    lows = set(_minimal_sets([mask for mask, side in sides.items() if mask == side]))
+    free = {side for side in set(sides.values()) if not any(low & side == low for low in lows)}
+    kept = [
+        mask for mask, side in sides.items() if (mask in lows if mask == side else side in free)
+    ]
+    # bit p of a mask is column p: unpack the masks' little-endian bytes
+    n = pair_count(k)
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in kept), np.uint8)
+    pattern = np.unpackbits(raw.reshape(len(kept), width), axis=1, count=n, bitorder="little")
+    return pattern.astype(float)
 
 
 def _cw_lp(groups, div, i1):

@@ -5,7 +5,10 @@ set-quantified definitions with plain itertools enumeration, without
 touching the library's sorted fast paths or descriptor generators.
 Intended for K <= 6, and K = 8 for ``cw_lp_enumerated``, the exact LP
 over every distinct P_IS, the reference for the library's LP over the
-minimal ones.  ``run_per_round`` is the simulation loop stepped one
+minimal ones.  ``lp_pattern_quadratic`` keeps the minimal sets by
+checking each distinct set of the whole descriptor stream against every
+set kept so far, the reference for the library's rule that is linear in
+the stream.  ``run_per_round`` is the simulation loop stepped one
 round at a time, the reference for the harness's stretch skipping;
 ``run_rebuilt`` also rebuilds the bandit's caches before every guard
 scan and every plan, the reference for their draw-by-draw upkeep.
@@ -30,10 +33,11 @@ from duelbench.bandit import (
     select_pair,
     update_and_plan,
 )
+from duelbench.constraints import _iter_cw_descriptors, pair_count, pair_index
 from duelbench.core import _copeland_sets, _regret_nums, gap_divergence
 from duelbench.errors import NumericalInstabilityError, ValidationError
 from duelbench.harness import _check_preconditions, checkpoint_grid
-from duelbench.solvers import simplex_solve
+from duelbench.solvers import _minimal_sets, simplex_solve
 
 
 def gap_divergence_numpy(values):
@@ -174,6 +178,35 @@ def cw_lp_enumerated(values, i1):
     """(rates, constant) of ``cw_lp_program`` by the library's simplex."""
     x, value = simplex_solve(*cw_lp_program(values, i1))
     return x.tolist(), value
+
+
+def lp_pattern_quadratic(sup, inf_sets, losses, i1):
+    """0/1 rows of the minimal pair sets P_IS of winner i1, in first-seen order.
+
+    Every descriptor of the stream gives a bit mask, the distinct masks
+    keep their first-seen order, and ``_minimal_sets`` drops each one
+    that contains a kept one.
+    """
+    k = len(losses)
+    bits = [[1 << pair_index(i, j) if i != j else 0 for j in range(k)] for i in range(k)]
+    own = bits[i1]
+    masks = {}  # a dict keeps the first-seen order
+    for i2, _l, iset, sset in _iter_cw_descriptors(sup, inf_sets, losses, i1):
+        mask = 0
+        for j in iset:
+            mask |= own[j]
+        rival = bits[i2]
+        for j in sset:
+            mask |= rival[j]
+        masks[mask] = None
+    kept = _minimal_sets(list(masks))
+    pattern = np.zeros((len(kept), pair_count(k)))
+    for row, mask in zip(pattern, kept):
+        while mask:
+            low = mask & -mask
+            row[low.bit_length() - 1] = 1.0
+            mask ^= low
+    return pattern
 
 
 def simplex_dense(costs, constraints, upper_bounds):

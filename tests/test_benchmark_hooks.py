@@ -74,3 +74,47 @@ def test_boundaries_are_called_through_module_globals(monkeypatch, cyclic):
         simulate(cyclic, AlgorithmConfig(variant=variant), 200, 0)
     lower_bound(cyclic)
     assert all(calls.values()), calls
+
+
+#: The names ``cli`` calls in the layers below it.
+CLI_LIVE = [
+    ("core", "load_matrix"),
+    ("core", "copeland_summary"),
+    ("solvers", "lower_bound"),
+    ("solvers", "ecw_optimal"),
+    ("solvers", "ecw_explicit_bound"),
+    ("solvers", "ecw_worstcase_bound"),
+    ("solvers", "ccb_bound"),
+    ("solvers", "ecw_constant"),
+    ("harness", "simulate_batch"),
+    ("harness", "write_trace"),
+]
+
+
+def test_cli_boundaries_are_called_through_module_globals(monkeypatch, tmp_path, cyclic):
+    # the benchmark drives cli.main; a cli that bound one of these names at
+    # import time would empty that name's spans
+    from duelbench.cli import main
+    from duelbench.core import save_matrix
+
+    assert set(CLI_LIVE) <= {(module, attr) for module, attr, _ in BOUNDARIES}
+    calls = dict.fromkeys(CLI_LIVE, 0)
+
+    def counting(key, original):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    path = tmp_path / "cyclic.csv"
+    save_matrix(cyclic, path)
+    for module, attr in CLI_LIVE:
+        target = importlib.import_module(f"duelbench.{module}")
+        monkeypatch.setattr(target, attr, counting((module, attr), getattr(target, attr)))
+    assert main(["bounds", "--input", str(path), "--json"]) == 0
+    assert main([
+        "run", "--input", str(path), "--algo", "ecw", "--T", "200", "--runs", "1",
+        "--output", str(tmp_path / "trace.json"),
+    ]) == 0
+    assert all(calls.values()), calls

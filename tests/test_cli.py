@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +21,23 @@ from duelbench import (
 from duelbench.cli import _sig3, main
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_fresh(cwd, *argv):
+    """(exit code, stdout) of one CLI call in a new interpreter, 80 columns wide."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+    proc = subprocess.run(
+        [sys.executable, "-m", "duelbench.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, check=False,
+    )
+    return proc.returncode, proc.stdout
 
 
 class TestSig3:
@@ -392,3 +409,35 @@ class TestErrors:
         )
         assert code == 4
         assert "cannot write" in err
+
+
+class TestParserReuse:
+    """main() reuses one parser; no call may leave anything for the next."""
+
+    RUN = ("run", "--dataset", "cyclic", "--algo", "ecw", "--T", "500", "--runs", "2",
+           "--seed", "5")
+    BOUNDS = ("bounds", "--dataset", "cyclic", "--json")
+
+    def test_calls_match_a_fresh_process(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        assert run_fresh(fresh, *self.RUN, "--output", "t.json")[0] == 0
+        bounds_reference = run_fresh(fresh, *self.BOUNDS)
+        help_reference = run_fresh(fresh, "bounds", "--help")
+        assert bounds_reference[0] == 0 and help_reference[0] == 0
+
+        # an explicit alpha, then the default: the second trace has the default's bytes
+        alpha, default = tmp_path / "alpha.json", tmp_path / "default.json"
+        assert run_cli(capsys, *self.RUN, "--alpha", "0.5", "--output", str(alpha))[0] == 0
+        assert run_cli(capsys, *self.RUN, "--output", str(default))[0] == 0
+        assert default.read_bytes() == (fresh / "t.json").read_bytes()
+        assert alpha.read_bytes() != default.read_bytes()
+
+        # a parse error, then a valid call
+        assert run_cli(capsys, "bounds", "--dataset", "cyclic", "--k-max", "x")[0] == 2
+        assert run_cli(capsys, *self.BOUNDS)[:2] == bounds_reference
+
+        # help twice
+        assert run_cli(capsys, "bounds", "--help")[:2] == help_reference
+        assert run_cli(capsys, "bounds", "--help")[:2] == help_reference

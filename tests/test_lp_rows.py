@@ -5,6 +5,13 @@ one.  ``oracles.cw_lp_enumerated`` solves the LP over every distinct set;
 both must reach the same constant, and the rates must satisfy the whole
 family, which ``min_lhs_cw`` checks by sorting, independently of either
 row list.  ``scipy.optimize.linprog`` cross-checks the constant.
+
+``solvers._lp_pattern`` finds the minimal sets by a rule that is linear
+in the descriptor stream: only the sets with no rival side are filtered
+against each other, and every other set is kept unless its own side
+contains a kept one.  ``oracles.lp_pattern_quadratic`` filters every
+distinct set against every kept one; the two must give the same rows in
+the same order.
 """
 
 import numpy as np
@@ -20,7 +27,7 @@ from duelbench.cli import main
 from duelbench.constraints import FEASIBILITY_TOL, GroupCache, iter_pairs, min_lhs_cw
 from duelbench.core import PreferenceMatrix, _copeland_sets, gap_divergence
 from duelbench.solvers import _cw_lp, _lp_pattern, _minimal_sets
-from oracles import cw_lp_enumerated, cw_lp_program, cw_pair_sets
+from oracles import cw_lp_enumerated, cw_lp_program, cw_pair_sets, lp_pattern_quadratic
 
 STRICT_DATASETS = ["cyclic", "gap", "mslr5_condorcet", "mslr5_noncondorcet", "multisol"]
 
@@ -141,6 +148,39 @@ class TestMinimalSets:
             assert_minimal(masks, kept)
             pattern = _lp_pattern(sup, inf_sets, losses, i1)
             assert [sum(1 << p for p in np.flatnonzero(row)) for row in pattern] == kept
+
+
+def assert_rows_of_the_quadratic_filter(matrix):
+    sup, inf_sets, losses, winners = _copeland_sets(matrix.values)
+    for i1 in winners:
+        rows = _lp_pattern(sup, inf_sets, losses, i1)
+        reference = lp_pattern_quadratic(sup, inf_sets, losses, i1)
+        assert rows.shape == reference.shape
+        assert rows.dtype == reference.dtype
+        assert rows.tolist() == reference.tolist()  # row for row, in order
+
+
+class TestLinearRowRule:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        k=st.integers(2, 9),
+        seed=st.integers(0, 2**32 - 1),
+        tie_rate=st.sampled_from([0.0, 0.2]),
+    )
+    def test_random_matrices(self, k, seed, tie_rate):
+        matrix = random_matrix(np.random.default_rng(seed), k, tie_rate=tie_rate)
+        assert_rows_of_the_quadratic_filter(matrix)
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(3, 9), seed=st.integers(0, 2**32 - 1))
+    def test_tied_winners(self, k, seed):
+        assert_rows_of_the_quadratic_filter(
+            random_tied_winner_matrix(np.random.default_rng(seed), k)
+        )
+
+    def test_bounds_k8_matrices(self):
+        for matrix in bounds_k8_matrices():
+            assert_rows_of_the_quadratic_filter(matrix)
 
 
 class TestPivotCap:
