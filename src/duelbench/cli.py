@@ -2,14 +2,12 @@
 
 Exit codes: 0 success, 2 validation error, 3 size gate, 4 I/O error.
 Numbers are displayed at 3 significant figures; JSON output keeps full
-precision.  ``main`` parses with one parser per process, built on its
-first call; ``build_parser`` builds a new one on each call.
+precision.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -198,14 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: The one parser of the process: parse_args keeps nothing between calls,
-#: so main() builds it on its first call and reuses it.
-_parser = functools.cache(build_parser)
-
-
 def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

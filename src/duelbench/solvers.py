@@ -18,12 +18,14 @@ arrays.  Both kernels give the same bits.  The LP's rows are the
 minimal pair sets P_IS of the enumerated family: a set that strictly
 contains another is implied by it, since coefficients are per pair and
 nonnegative and x >= 0, so dropping it leaves the feasible polytope, and
-the optimum, unchanged.  Finding them takes time linear in the
-descriptor stream: a set with a rival side can contain only sets with
-none, so only those few are checked against each other (``_lp_pattern``
-gives the proof).  Both planners take a ``GroupCache``, which
-owns the Copeland sets, the winners to plan for and each pair's regret
-rate; the row pattern reads only the sets and is kept there per winner.
+the optimum, unchanged.  Finding them takes one walk of the descriptor
+stream plus a filter over the sets with no rival side: a set with a
+rival side can contain only sets with none, so only those (at most
+2^|H|, quadratic in them) are checked against each other
+(``_lp_pattern`` gives the proof).  Both planners take a
+``GroupCache``, which owns the Copeland sets, the winners to plan for
+and each pair's regret rate; the row pattern reads only the sets and is
+kept there per winner.
 The LP is gated at K_max arms because the enumeration grows
 exponentially; the relaxed program has no size limit.
 """
@@ -390,14 +392,15 @@ def _lp_pattern(sup, inf_sets, losses, i1):
     """0/1 rows of the minimal pair sets P_IS of winner i1, in first-seen order.
 
     A set is minimal if it strictly contains no other set of the stream.
-    That is decided in time linear in the stream, by where the pairs lie.
-    The I side of a descriptor holds pairs (i1, j) with j in H, the arms
-    i1 beats; its S side holds pairs (i2, j) where j beats i2 and j != i1.
-    No I side holds such a pair, since every I pair touches i1 and no S
-    pair does, and no other rival's S side does, since that would need i2
-    and j to beat each other.  So a set with a nonempty S side can
-    strictly contain only sets of its own rival and "I-only" sets, whose
-    S side is empty.
+    That is decided by where the pairs lie, in one walk of the stream
+    plus a filter over the sets with no S side (at most 2^|H|, quadratic
+    in them).  The I side of a descriptor holds pairs (i1, j) with j in
+    H, the arms i1 beats; its S side holds pairs (i2, j) where j beats i2
+    and j != i1.  No I side holds such a pair, since every I pair touches
+    i1 and no S pair does, and no other rival's S side does, since that
+    would need i2 and j to beat each other.  So a set with a nonempty S
+    side can strictly contain only sets of its own rival and "I-only"
+    sets, whose S side is empty.
 
     Within one rival it contains none.  At level l a set without the pair
     (i1, i2) has |I| + |S| = L_i2 - L_i1 + 1, and a set with it has
@@ -407,34 +410,44 @@ def _lp_pattern(sup, inf_sets, losses, i1):
     lie inside one without it.
 
     So an I-only set is kept iff it contains no other I-only set
-    (``_minimal_sets`` over the I-only sets alone, at most 2^|H| of
-    them), and a set with a nonempty S side is kept iff its I side
-    contains no kept I-only set.  A mask that contains a dropped I-only
-    set contains a kept one too.
+    (``_minimal_sets`` over the I-only sets alone), and a set with a
+    nonempty S side is kept iff its I side contains no kept I-only set.
+    A mask that contains a dropped I-only set contains a kept one too.
+    The walk keeps each descriptor's I side, rival and S side, and a set
+    with an S side gets its mask only once its I side is known to be free.
     """
     k = len(losses)
     bits = [[1 << pair_index(i, j) if i != j else 0 for j in range(k)] for i in range(k)]
     own = bits[i1]
-    sides = {}  # mask -> its I side; a dict keeps the first-seen order
+    stream = []  # (I side mask, rival, S side) of each descriptor, in stream order
+    last = side = None
     for i2, _l, iset, sset in _iter_cw_descriptors(sup, inf_sets, losses, i1):
-        side = 0
-        for j in iset:
-            side |= own[j]
-        mask = side
-        rival = bits[i2]
-        for j in sset:
-            mask |= rival[j]
-        sides[mask] = side
-    lows = set(_minimal_sets([mask for mask, side in sides.items() if mask == side]))
-    free = {side for side in set(sides.values()) if not any(low & side == low for low in lows)}
-    kept = [
-        mask for mask, side in sides.items() if (mask in lows if mask == side else side in free)
-    ]
+        if iset != last:  # the stream repeats one I side over many S sides
+            last, side = iset, 0
+            for j in iset:
+                side |= own[j]
+        stream.append((side, i2, sset))
+    lows = set(_minimal_sets(list(dict.fromkeys(side for side, _, sset in stream if not sset))))
+    free = {}  # I side -> whether it contains no kept I-only set
+    rows = {}  # mask -> None; a dict keeps the first-seen order
+    for side, i2, sset in stream:
+        if not sset:
+            if side in lows:
+                rows[side] = None
+            continue
+        ok = free.get(side)
+        if ok is None:
+            ok = free[side] = not any(low & side == low for low in lows)
+        if ok:
+            rival = bits[i2]
+            for j in sset:
+                side |= rival[j]
+            rows[side] = None
     # bit p of a mask is column p: unpack the masks' little-endian bytes
     n = pair_count(k)
     width = (n + 7) // 8
-    raw = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in kept), np.uint8)
-    pattern = np.unpackbits(raw.reshape(len(kept), width), axis=1, count=n, bitorder="little")
+    raw = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in rows), np.uint8)
+    pattern = np.unpackbits(raw.reshape(len(rows), width), axis=1, count=n, bitorder="little")
     return pattern.astype(float)
 
 

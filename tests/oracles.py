@@ -7,11 +7,12 @@ Intended for K <= 6, and K = 8 for ``cw_lp_enumerated``, the exact LP
 over every distinct P_IS, the reference for the library's LP over the
 minimal ones.  ``lp_pattern_quadratic`` keeps the minimal sets by
 checking each distinct set of the whole descriptor stream against every
-set kept so far, the reference for the library's rule that is linear in
-the stream.  ``run_per_round`` is the simulation loop stepped one
-round at a time, the reference for the harness's stretch skipping;
-``run_rebuilt`` also rebuilds the bandit's caches before every guard
-scan and every plan, the reference for their draw-by-draw upkeep.
+set kept so far, the reference for the library's rule, which filters
+only the sets with no rival side against each other.  ``run_per_round``
+is the simulation loop stepped one round at a time, the reference for
+the harness's stretch skipping; ``run_rebuilt`` also rebuilds the
+bandit's caches before every guard scan and every plan, the reference
+for their draw-by-draw upkeep.
 ``simplex_dense`` is the simplex on the full tableau, the reference for
 both kernels of the condensed one.  ``gap_divergence_numpy`` is the
 divergence in numpy array operations, the reference for

@@ -411,8 +411,8 @@ class TestErrors:
         assert "cannot write" in err
 
 
-class TestParserReuse:
-    """main() reuses one parser; no call may leave anything for the next."""
+class TestRepeatedCalls:
+    """Calls in one process leave nothing behind for the next call."""
 
     RUN = ("run", "--dataset", "cyclic", "--algo", "ecw", "--T", "500", "--runs", "2",
            "--seed", "5")

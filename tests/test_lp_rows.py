@@ -6,10 +6,11 @@ both must reach the same constant, and the rates must satisfy the whole
 family, which ``min_lhs_cw`` checks by sorting, independently of either
 row list.  ``scipy.optimize.linprog`` cross-checks the constant.
 
-``solvers._lp_pattern`` finds the minimal sets by a rule that is linear
-in the descriptor stream: only the sets with no rival side are filtered
-against each other, and every other set is kept unless its own side
-contains a kept one.  ``oracles.lp_pattern_quadratic`` filters every
+``solvers._lp_pattern`` finds the minimal sets in one walk of the
+descriptor stream plus a filter over the sets with no rival side (at
+most 2^|H|, quadratic in them): only those are filtered against each
+other, and every other set is kept unless its own side contains a kept
+one.  ``oracles.lp_pattern_quadratic`` filters every
 distinct set against every kept one; the two must give the same rows in
 the same order.
 """
