@@ -144,8 +144,8 @@ def cmd_submatrix(args) -> int:
     return 0
 
 
-def _add_source_flags(sub, required: bool = True):
-    group = sub.add_mutually_exclusive_group(required=required)
+def _add_source_flags(sub):
+    group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--dataset", help="built-in dataset name")
     group.add_argument("--input", help="path to a CSV preference matrix")
 

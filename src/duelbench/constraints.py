@@ -49,9 +49,8 @@ from .core import (
     PreferenceMatrix,
     _check_integer,
     _check_real,
-    _check_strict_gaps,
-    _copeland_sets,
     _float_array,
+    _strict_sets,
     gap_divergence,
     regret_table,
 )
@@ -208,8 +207,7 @@ def _winner_sets(matrix: PreferenceMatrix, i1: int):
     that is not an integer in range, then on ties, then on a non-winner.
     """
     i1 = _check_integer(i1, "arm i1", 1, matrix.k)
-    _check_strict_gaps(matrix)
-    sup, inf_, losses, winners = _copeland_sets(matrix.values)
+    sup, inf_, losses, winners = _strict_sets(matrix)
     if i1 - 1 not in winners:
         raise NotAWinnerError(
             f"arm {i1} has loss count {losses[i1 - 1]} > {losses[winners[0]]}; "

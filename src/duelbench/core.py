@@ -169,6 +169,7 @@ class PreferenceMatrix:
 
         vals.setflags(write=False)
         self._values = vals
+        self._sets = _copeland_sets(vals.tolist())
         self.k = k
         self.has_ties = ties
 
@@ -186,8 +187,11 @@ class PreferenceMatrix:
         i, j = _check_integer(i, "arm i", 1, self.k), _check_integer(j, "arm j", 1, self.k)
         return float(self._values[i - 1, j - 1])
 
-    def take(self, arms0: np.ndarray) -> "PreferenceMatrix":
-        """Submatrix on the given 0-based arm indices (kept in given order)."""
+    def take(self, arms0) -> "PreferenceMatrix":
+        """Submatrix on the given distinct 0-based arm indices (kept in given order)."""
+        arms0 = [_check_integer(a, "arm index", 0, self.k - 1) for a in arms0]
+        if not arms0 or len(set(arms0)) < len(arms0):
+            raise ValidationError(f"submatrix arms must be distinct and nonempty, got {arms0}")
         sub = self._values[np.ix_(arms0, arms0)]
         return PreferenceMatrix(sub, allow_ties=True)
 
@@ -231,8 +235,9 @@ def _copeland_sets(rows):
 
     ``rows`` holds the K x K estimates mu_ij, row i for arm i, as lists or
     an array.  Arm j beats arm i where mu_ij < 1/2.  An entry at exactly
-    1/2 (the diagonal, a tied pair) counts in neither set; callers needing
-    strict gaps call ``_check_strict_gaps``.
+    1/2 (the diagonal, a tied pair) counts in neither set; a matrix keeps
+    its own as ``_sets``, and callers needing strict gaps read them through
+    ``_strict_sets``.
     """
     sup = [[j for j, v in enumerate(row) if v < 0.5] for row in rows]
     inf_ = [[j for j, v in enumerate(row) if v > 0.5] for row in rows]
@@ -242,10 +247,14 @@ def _copeland_sets(rows):
     return sup, inf_, losses, winners
 
 
-def _check_strict_gaps(matrix: PreferenceMatrix) -> None:
-    """TiedPreferenceError unless every off-diagonal entry differs from 1/2."""
+def _strict_sets(matrix: PreferenceMatrix):
+    """The matrix's 0-based Copeland sets; TiedPreferenceError if any pair is tied.
+
+    The lists are the matrix's own: callers read them and never mutate them.
+    """
     if matrix.has_ties:
         raise TiedPreferenceError("strict gaps required")
+    return matrix._sets
 
 
 def copeland_summary(matrix: PreferenceMatrix, tie_tolerant: bool = False) -> CopelandSummary:
@@ -254,9 +263,7 @@ def copeland_summary(matrix: PreferenceMatrix, tie_tolerant: bool = False) -> Co
     In strict mode a tied off-diagonal entry raises TiedPreferenceError.
     In tie-tolerant mode tied pairs count in neither set.
     """
-    if not tie_tolerant:
-        _check_strict_gaps(matrix)
-    sup, inf_, losses, winners = _copeland_sets(matrix.values)
+    sup, inf_, losses, winners = matrix._sets if tie_tolerant else _strict_sets(matrix)
     return CopelandSummary(
         k=matrix.k,
         superiors=tuple(frozenset(j + 1 for j in s) for s in sup),
@@ -315,7 +322,7 @@ def _parse_csv(text: str):
     return rows
 
 
-def load_matrix(source, format: str = "csv", allow_ties: bool = False) -> PreferenceMatrix:
+def load_matrix(source, allow_ties: bool = False) -> PreferenceMatrix:
     """Load a preference matrix from CSV text, bytes, or a readable stream.
 
     Format: K lines of K comma-separated decimals, row i column j = mu_ij;
@@ -323,8 +330,6 @@ def load_matrix(source, format: str = "csv", allow_ties: bool = False) -> Prefer
     leading byte-order mark is dropped from bytes and text alike.
     Asymmetric or non-square input is rejected.
     """
-    if format != "csv":
-        raise ValidationError(f"unsupported matrix format: {format!r}")
     try:
         if hasattr(source, "read"):
             source = source.read()

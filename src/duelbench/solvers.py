@@ -55,9 +55,9 @@ from .core import (
     PreferenceMatrix,
     _check_integer,
     _check_real,
-    _check_strict_gaps,
-    _copeland_sets,
+    _copeland_sets,  # not called here; the benchmark's tracer wraps solvers._copeland_sets
     _float_array,
+    _strict_sets,
     gap_divergence,
     kl_bernoulli,
 )
@@ -482,19 +482,13 @@ def _best_plan(planner, groups, div):
     return best
 
 
-def _every_winner(matrix: PreferenceMatrix):
-    """0-based (superiors, inferiors, losses, winners) of a strict-gap matrix, all winners."""
-    _check_strict_gaps(matrix)
-    return _copeland_sets(matrix.values)
-
-
 def _optimal(matrix: PreferenceMatrix, sets, variant: str, k_max=None) -> OptimalExploration:
     """Optimal exploration of ``variant`` ("cw" or "ecw") for the best of the listed winners.
 
     ``sets`` comes from _winner_sets, for one named winner, or from
-    _every_winner; the winner with the smallest constant is taken (ties go
-    to the smallest arm).  The sets are checked before the exact-LP size
-    gate, so a tied matrix is reported as tied at any K.
+    _strict_sets, for every winner; the winner with the smallest constant
+    is taken (ties go to the smallest arm).  The sets are checked before
+    the exact-LP size gate, so a tied matrix is reported as tied at any K.
     """
     if variant == "cw":
         check_lp_size(matrix.k, k_max)
@@ -517,7 +511,7 @@ def ecw_optimal(matrix: PreferenceMatrix, i1: int | None = None) -> OptimalExplo
     With no winner given, the winner with the smallest constant is used
     (ties go to the smallest arm).
     """
-    sets = _every_winner(matrix) if i1 is None else _winner_sets(matrix, i1)
+    sets = _strict_sets(matrix) if i1 is None else _winner_sets(matrix, i1)
     return _optimal(matrix, sets, "ecw")
 
 
@@ -535,14 +529,14 @@ def lower_bound(matrix: PreferenceMatrix, k_max: int | None = None):
 
     Returns (constant, winner); ties resolve to the smallest arm index.
     """
-    best = _optimal(matrix, _every_winner(matrix), "cw", k_max)
+    best = _optimal(matrix, _strict_sets(matrix), "cw", k_max)
     return best.constant, best.winner
 
 
 def ecw_constant(matrix: PreferenceMatrix) -> float:
     """Leading regret constant of the relaxed program: min over winners."""
     # not ecw_optimal: perfbench times both as solvers.closed_form, and its spans must not nest
-    return _optimal(matrix, _every_winner(matrix), "ecw").constant
+    return _optimal(matrix, _strict_sets(matrix), "ecw").constant
 
 
 # ---------------------------------------------------------------------------
@@ -550,18 +544,17 @@ def ecw_constant(matrix: PreferenceMatrix) -> float:
 
 
 def _min_gap(matrix: PreferenceMatrix) -> float:
-    """Smallest |mu_ij - 1/2| off the diagonal; raises unless gaps are strict."""
+    """Smallest |mu_ij - 1/2| off the diagonal; callers check strict gaps first."""
     if matrix.k < 2:
         raise ValidationError("gap undefined for a single arm")
-    _check_strict_gaps(matrix)
     off = ~np.eye(matrix.k, dtype=bool)
     return float(np.min(np.abs(matrix.values[off] - 0.5)))
 
 
 def ccb_bound(matrix: PreferenceMatrix) -> float:
     """Confidence-bound style constant 2K(C + L_min + 1) / Delta^2."""
+    _, _, losses, winners = _strict_sets(matrix)
     delta = _min_gap(matrix)
-    _, _, losses, winners = _copeland_sets(matrix.values)
     return 2.0 * matrix.k * (len(winners) + losses[winners[0]] + 1) / (delta * delta)
 
 
@@ -579,8 +572,8 @@ def ecw_explicit_bound(matrix: PreferenceMatrix, i1: int) -> float:
 
 def ecw_worstcase_bound(matrix: PreferenceMatrix) -> float:
     """Loss-profile-free upper bound (K / d) ((L_min + 3)/2 + L_min^2 / K)."""
+    _, _, losses, winners = _strict_sets(matrix)
     delta = _min_gap(matrix)
-    _, _, losses, winners = _copeland_sets(matrix.values)
     d = kl_bernoulli(0.5 + delta, 0.5)
     low = losses[winners[0]]
     k = matrix.k

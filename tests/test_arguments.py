@@ -62,6 +62,12 @@ CFG = AlgorithmConfig()
 ERRORS = [
     ("PreferenceMatrix", "rows", lambda: PreferenceMatrix([[0.5, 0.6], [0.4]]), ValidationError),
     ("PreferenceMatrix", "rows", lambda: PreferenceMatrix([[0.5, "a"], [0.5, 0.5]]), ValidationError),
+    ("PreferenceMatrix.take", "arms0=[0, 0]", lambda: M.take([0, 0]), ValidationError),
+    ("PreferenceMatrix.take", "arms0=[-1, 0]", lambda: M.take([-1, 0]), ValidationError),
+    ("PreferenceMatrix.take", "arms0=[0, 9]", lambda: M.take([0, 9]), ValidationError),
+    ("PreferenceMatrix.take", "arms0=[0.5, 1]", lambda: M.take([0.5, 1]), ValidationError),
+    ("PreferenceMatrix.take", "arms0=[]", lambda: M.take([]), ValidationError),
+    ("PreferenceMatrix.take", "arms0=[[0, 1]]", lambda: M.take([[0, 1]]), ValidationError),
     ("PreferenceMatrix.mu", "i", lambda: M.mu(1.5, 2), ValidationError),
     ("PreferenceMatrix.mu", "j", lambda: M.mu(2, 1.5), ValidationError),
     ("regret_per_pair", "i", lambda: regret_per_pair(S, 1.5, 2), ValidationError),
@@ -154,6 +160,7 @@ def _family(build, i1):
 # (owner, parameter, call with an integral float or an int, call with the plain value)
 SAME = [
     ("PreferenceMatrix.mu", "i", lambda: M.mu(2.0, 1.0), lambda: M.mu(2, 1)),
+    ("PreferenceMatrix.take", "arms0", lambda: M.take([0.0, 1.0]).values, lambda: M.take([0, 1]).values),
     (
         "sample_submatrix",
         "k",

@@ -1,3 +1,5 @@
+import copy
+import importlib
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import random_matrix
 from duelbench import (
     BUILTIN_DATASETS,
+    AlgorithmConfig,
     ExhaustedRejectionsError,
     ParseError,
     PreferenceMatrix,
@@ -15,15 +18,23 @@ from duelbench import (
     UnknownDatasetError,
     ValidationError,
     builtin_dataset,
+    check_feasible,
     copeland_summary,
+    cw_constraints,
+    ecw_explicit_bound,
+    ecw_optimal,
     gap_divergence,
     kl_bernoulli,
     load_matrix,
+    lower_bound,
     matrix_to_csv,
     regret_per_pair,
     regret_table,
     sample_submatrix,
+    save_matrix,
+    simulate,
 )
+from duelbench.cli import main
 from duelbench.core import _copeland_sets, gap_divergences
 from duelbench.errors import DomainError
 from oracles import gap_divergence_numpy, sign_sets
@@ -220,6 +231,47 @@ class TestCopeland:
         assert m.has_ties
         with pytest.raises(TiedPreferenceError):
             copeland_summary(m)
+
+
+class TestMatrixOwnsSets:
+    """A matrix derives its Copeland sets once; every strict-gap caller reads them."""
+
+    @pytest.mark.parametrize("name", BUILTIN_DATASETS)
+    def test_sets_match_the_derivation(self, name):
+        m = builtin_dataset(name)
+        assert m._sets == _copeland_sets(m.values)
+        sub = m.take([2, 0, 1])
+        assert sub._sets == _copeland_sets(sub.values)
+
+    def test_bounds_derives_the_sets_once(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "multisol.csv"
+        save_matrix(builtin_dataset("multisol"), path)
+        calls = []
+        for name in ("core", "constraints", "solvers", "harness", "bandit"):
+            module = importlib.import_module(f"duelbench.{name}")
+            original = getattr(module, "_copeland_sets", None)
+            if original is not None:
+                def counting(rows, original=original, name=name):
+                    calls.append(name)
+                    return original(rows)
+
+                monkeypatch.setattr(module, "_copeland_sets", counting)
+        assert main(["bounds", "--input", str(path), "--json"]) == 0
+        capsys.readouterr()
+        assert calls == ["core"]
+
+    @pytest.mark.parametrize("name", ["cyclic", "multisol"])
+    def test_callers_leave_the_sets_alone(self, name):
+        m = builtin_dataset(name)
+        before = copy.deepcopy(m._sets)
+        copeland_summary(m)
+        lower_bound(m)
+        opt = ecw_optimal(m)
+        ecw_explicit_bound(m, opt.winner)
+        check_feasible(cw_constraints(m, opt.winner), opt.rates, m)
+        for variant in ("ecw", "cw"):
+            simulate(m, AlgorithmConfig(variant=variant), 300, 0)
+        assert m._sets == before
 
 
 class TestRegret:

@@ -29,8 +29,8 @@ from duelbench import (
     simplex_solve,
     solve_subproblem,
 )
-from duelbench.core import _copeland_sets
-from duelbench.solvers import _every_winner, _optimal, default_k_max, lp_gate
+from duelbench.core import _copeland_sets, _strict_sets
+from duelbench.solvers import _optimal, default_k_max, lp_gate
 from oracles import subset_lp_rows, subset_solution_feasible
 
 
@@ -392,7 +392,7 @@ class TestAggregates:
                 per_winner = [solve(m, i1) for i1 in winners]
                 low = min(opt.constant for opt in per_winner)
                 first = next(opt for opt in per_winner if opt.constant == low)
-                best = _optimal(m, _every_winner(m), variant)
+                best = _optimal(m, _strict_sets(m), variant)
                 assert fields(best) == fields(first)
             assert lower_bound(m) == (low, first.winner)
             assert ecw_constant(m) == min(ecw_optimal(m, i1).constant for i1 in winners)
@@ -401,7 +401,7 @@ class TestAggregates:
         rng = np.random.default_rng(53)
         for _ in range(5):
             m = random_tied_winner_matrix(rng, int(rng.integers(4, 6)))
-            assert fields(ecw_optimal(m)) == fields(_optimal(m, _every_winner(m), "ecw"))
+            assert fields(ecw_optimal(m)) == fields(_optimal(m, _strict_sets(m), "ecw"))
             assert ecw_optimal(m).constant == ecw_constant(m)
 
     def test_planners_return_one_rate_per_pair(self):
