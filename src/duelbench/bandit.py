@@ -20,10 +20,10 @@ on the floors is a pass of every pair, and only a failure takes the
 exact minima and, if they fail too, scans the pairs.  The next plan
 step rewrites only the drawn pairs' divergences and weights, with one
 numpy log call (``core.gap_divergences``), and drops only the cached
-pieces of the budgets and plans that read them
-(``constraints.GroupCache``, one piece per winner and rival), so an
-exploring round costs work on the drawn pair's rows and columns rather
-than a K x K rebuild.  Every float equals the one a full rebuild gives.
+pieces that read them (``constraints.GroupCache``: budgets, plan, and
+the columns and subproblems of the pair's two arms), so an exploring
+round costs work on the drawn pair's rows and columns rather than a
+K x K rebuild.  Every float equals the one a full rebuild gives.
 The cache owns the empirical Copeland sets, every empirical winner
 listed, and the budgets and plan made for them.  A drawn estimate that
 changes side of 1/2 changes those sets, and then only the cache is
@@ -311,8 +311,14 @@ def update_and_plan(state: RmedState, config: AlgorithmConfig, pair, outcome) ->
     self-pairs.  Invalid input raises ValidationError before any tally
     changes.
     """
-    l = _check_integer(pair[0], "first arm of the pair", 1, state.k) - 1
-    m = _check_integer(pair[1], "second arm of the pair", 1, state.k) - 1
+    try:
+        first, second = pair
+        if isinstance(pair, (set, frozenset)):  # unordered: no first arm for the outcome
+            raise TypeError
+    except (TypeError, ValueError):
+        raise ValidationError(f"pair must be two arms in order, got {pair!r}") from None
+    l = _check_integer(first, "first arm of the pair", 1, state.k) - 1
+    m = _check_integer(second, "second arm of the pair", 1, state.k) - 1
     # phase is decided on the pre-update state, exactly as select_pair saw it;
     # its verdict is reused only if it was recorded for this round
     loop_round = config.variant != "random" and _guard_verdict(state, config) is None

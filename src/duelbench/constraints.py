@@ -40,6 +40,7 @@ membership test.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from math import inf
 
@@ -111,6 +112,8 @@ class RateVector:
     def from_map(cls, k: int, mapping) -> "RateVector":
         """Build from a {"i-j": rate} map with 1-based i > j keys, one per pair."""
         k = _check_integer(k, "K", 1)
+        if not isinstance(mapping, Mapping):
+            raise ValidationError(f"rates must be a {{'i-j': rate}} map, got {mapping!r}")
         vals = np.zeros(pair_count(k))
         seen = set()
         for key, rate in mapping.items():
@@ -241,17 +244,17 @@ class GroupCache:
     (L_i + L_j - 2 L_min) / (2(K-1)) of the pair.  ``min_lhs_cw``,
     ``min_lhs_ecw`` and the planners in ``solvers`` fill the pieces as they
     read them, so a new cache gives the same answers as a full one.  A
-    winner's pins read its row of weights or divergences, one entry per
-    pair; a rival's column and subproblems read its column.  The relaxed
-    rivals and the exact LP's row pattern read only the sets.  The bandit
-    keeps each winner's budget and its argmin plan here too; they read
-    every pair.  A caller that changes the pair (l, m) calls
+    rival's column and subproblems read its column; a winner's pins are
+    not kept, since ``_ecw_plan`` reads them from the divergences.  The
+    relaxed rivals and the exact LP's row pattern read only the sets.
+    The bandit keeps each winner's budget and its argmin plan here too;
+    they read every pair.  A caller that changes the pair (l, m) calls
     ``drop(l, m)``; a change of the sets needs a new cache.
     """
 
     __slots__ = (
         "sup", "inf", "losses", "winners", "regret",  # fixed for the cache's life
-        "rivals", "columns", "pins", "pieces", "lp_rows",  # filled as they are read
+        "rivals", "columns", "pieces", "lp_rows",  # filled as they are read
         "budgets", "plan",  # filled by the bandit's RmedState
     )
 
@@ -260,27 +263,18 @@ class GroupCache:
         self.regret = regret_table(self.losses).tolist()
         self.rivals = {}  # i1 -> list(_ecw_rivals(sup, losses, i1))
         self.columns = {}  # i2 -> sorted (weights[j][i2], j) for j in sup[i2]
-        self.pins = {}  # i1 -> {j: _ecw_plan's (pair, rate, regret) entry, None if stale}
         self.pieces = {}  # i2 -> {i1: _ecw_plan's entries of rival i2}
         self.lp_rows = {}  # i1 -> _cw_lp's 0/1 row pattern of i1's minimal pair sets
         self.budgets = {}  # i1 -> min_lhs of i1's family at the bandit's weights
         self.plan = None  # (winner, rates, indices of the nonzero rates) of the argmin plan
 
     def drop(self, l: int, m: int) -> None:
-        """Forget the budgets, the plan and the pieces that read the pair (l, m).
-
-        The pair sits in the columns of l and m, whose pieces go, and in
-        the pins of whichever of them beats the other, whose entry for the
-        pair is marked stale.
-        """
+        """Forget the budgets, the plan, and the columns and pieces of l and m: all read (l, m)."""
         self.budgets.clear()
         self.plan = None
-        for a, b in ((l, m), (m, l)):
+        for a in (l, m):
             self.columns.pop(a, None)
             self.pieces.pop(a, None)
-            pins = self.pins.get(a)
-            if pins is not None and b in pins:
-                pins[b] = None
 
     def ecw_rivals(self, i1):
         rivals = self.rivals.get(i1)

@@ -72,6 +72,14 @@ def _float_array(values, what):
         raise ValidationError(f"{what} must be a numeric array") from None
 
 
+def _items(values, what) -> list:
+    """``values`` as a list; ValidationError if it is not iterable."""
+    try:
+        return list(values)
+    except TypeError:
+        raise ValidationError(f"{what} must be a sequence, got {values!r}") from None
+
+
 def kl_bernoulli(p: float, q: float) -> float:
     """KL divergence between Bernoulli(p) and Bernoulli(q), in nats.
 
@@ -124,7 +132,7 @@ def gap_divergence(values) -> np.ndarray:
     the shape of ``values``.  Symmetric in mu <-> 1-mu, so a preference
     matrix gives a symmetric matrix with a zero diagonal.
     """
-    p = np.asarray(values, dtype=float)
+    p = _float_array(values, "probabilities")
     return np.array(gap_divergences(p.ravel().tolist()), dtype=float).reshape(p.shape)
 
 
@@ -189,7 +197,7 @@ class PreferenceMatrix:
 
     def take(self, arms0) -> "PreferenceMatrix":
         """Submatrix on the given distinct 0-based arm indices (kept in given order)."""
-        arms0 = [_check_integer(a, "arm index", 0, self.k - 1) for a in arms0]
+        arms0 = [_check_integer(a, "arm index", 0, self.k - 1) for a in _items(arms0, "arms0")]
         if not arms0 or len(set(arms0)) < len(arms0):
             raise ValidationError(f"submatrix arms must be distinct and nonempty, got {arms0}")
         sub = self._values[np.ix_(arms0, arms0)]
@@ -289,11 +297,9 @@ def _regret_nums(losses) -> list:
 
 def regret_table(losses) -> np.ndarray:
     """K x K array of per-round regrets from a loss vector (self pairs included)."""
-    k = len(losses)
-    if k == 1:
-        return np.zeros((1, 1))
+    k = _check_integer(len(losses), "number of arms", 1)
     arr = np.asarray(_regret_nums(losses), dtype=float)
-    return arr / (2.0 * (k - 1))
+    return arr / (2.0 * max(k - 1, 1))  # one arm: its only pair, itself, has no regret
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,7 @@ from .core import (
     _check_real,
     _copeland_sets,  # not called here; the benchmark's tracer wraps solvers._copeland_sets
     _float_array,
+    _items,
     _strict_sets,
     gap_divergence,
     kl_bernoulli,
@@ -102,7 +103,7 @@ class SubproblemInstance:
     slack: int
 
     def __post_init__(self):
-        costs = tuple(_check_real(c, "cost") for c in self.costs)
+        costs = tuple(_check_real(c, "cost") for c in _items(self.costs, "costs"))
         if len(costs) < 1:
             raise ValidationError("subproblem needs at least one element")
         object.__setattr__(self, "slack", _check_integer(self.slack, "slack", 0))
@@ -333,21 +334,17 @@ def _ecw_plan(groups, div, i1):
     """Closed-form relaxed rates of winner i1: (one rate per pair in iter_pairs order, constant).
 
     ``groups`` is a GroupCache for ``div``, the pairwise gap divergence;
-    tied pairs (div 0) never appear in its sets and receive no rate.  i1's
-    pins and each rival's subproblem are kept in the cache as (pair, rate,
-    regret per unit of ln t) entries, and the constant is summed from them
-    in one order (pins in the order of i1's inferiors, then rivals
-    ascending), whichever were rebuilt.
+    tied pairs (div 0) never appear in its sets and receive no rate.  The
+    pins q_{i1 j} = 1 / div are summed first, in the order of i1's
+    inferiors, then each rival's subproblem, rivals ascending, from the
+    (pair, rate, regret per unit of ln t) entries the cache keeps.
     """
     regret = groups.regret
-    pins = groups.pins.get(i1)
-    if pins is None:
-        pins = groups.pins[i1] = dict.fromkeys(groups.inf[i1])
-    for j, entry in pins.items():
-        if entry is None:
-            rate = 1.0 / div[i1][j]
-            pins[j] = pair_index(i1, j), rate, regret[i1][j] * rate
-    pieces = [pins.values()]
+    q = [0.0] * pair_count(len(div))
+    constant = 0.0
+    for j in groups.inf[i1]:
+        rate = q[pair_index(i1, j)] = 1.0 / div[i1][j]
+        constant += regret[i1][j] * rate
     for i2, cand, need in groups.ecw_rivals(i1):
         per_winner = groups.pieces.setdefault(i2, {})
         piece = per_winner.get(i1)
@@ -355,10 +352,6 @@ def _ecw_plan(groups, div, i1):
             y, _ = _prefix_solution([regret[j][i2] / div[j][i2] for j in cand], len(cand) - need)
             rates = [(j, yj / div[j][i2]) for j, yj in zip(cand, y) if yj > 0.0]
             piece = per_winner[i1] = [(pair_index(j, i2), r, regret[j][i2] * r) for j, r in rates]
-        pieces.append(piece)
-    q = [0.0] * pair_count(len(div))
-    constant = 0.0
-    for piece in pieces:
         for p, rate, cost in piece:
             # pair roles are disjoint by construction: pins touch i1,
             # and each subproblem only sets the losing side of i2

@@ -37,6 +37,7 @@ from duelbench import (
     ecw_explicit_bound,
     ecw_optimal,
     ecw_worstcase_bound,
+    gap_divergence,
     kl_bernoulli,
     load_matrix,
     lower_bound,
@@ -44,6 +45,7 @@ from duelbench import (
     matrix_to_csv,
     random_baseline_select,
     regret_per_pair,
+    regret_table,
     sample_submatrix,
     simulate,
     simulate_batch,
@@ -58,6 +60,10 @@ S = copeland_summary(M)
 CFG = AlgorithmConfig()
 
 
+def _draw(pair):
+    return update_and_plan(RmedState(4), CFG, pair, 1)
+
+
 # (owner, parameter, bad call, typed error)
 ERRORS = [
     ("PreferenceMatrix", "rows", lambda: PreferenceMatrix([[0.5, 0.6], [0.4]]), ValidationError),
@@ -68,6 +74,9 @@ ERRORS = [
     ("PreferenceMatrix.take", "arms0=[0.5, 1]", lambda: M.take([0.5, 1]), ValidationError),
     ("PreferenceMatrix.take", "arms0=[]", lambda: M.take([]), ValidationError),
     ("PreferenceMatrix.take", "arms0=[[0, 1]]", lambda: M.take([[0, 1]]), ValidationError),
+    ("PreferenceMatrix.take", "arms0=None", lambda: M.take(None), ValidationError),
+    ("gap_divergence", "values='x'", lambda: gap_divergence("x"), ValidationError),
+    ("regret_table", "losses=[]", lambda: regret_table([]), ValidationError),
     ("PreferenceMatrix.mu", "i", lambda: M.mu(1.5, 2), ValidationError),
     ("PreferenceMatrix.mu", "j", lambda: M.mu(2, 1.5), ValidationError),
     ("regret_per_pair", "i", lambda: regret_per_pair(S, 1.5, 2), ValidationError),
@@ -89,6 +98,12 @@ ERRORS = [
     ("RateVector.from_map", "k", lambda: RateVector.from_map(2.5, {}), ValidationError),
     ("RateVector.from_map", "rate=True", lambda: RateVector.from_map(2, {"2-1": True}), ValidationError),
     ("RateVector.from_map", "rate='0.5'", lambda: RateVector.from_map(2, {"2-1": "0.5"}), ValidationError),
+    (
+        "RateVector.from_map",
+        "mapping=[('2-1', 1.0)]",
+        lambda: RateVector.from_map(3, [("2-1", 1.0)]),
+        ValidationError,
+    ),
     ("RateVector.get", "i", lambda: RateVector.zeros(4).get(2.5, 1), ValidationError),
     ("RateVector.get", "j", lambda: RateVector.zeros(4).get(1, 2.5), ValidationError),
     ("cw_constraints", "i1", lambda: cw_constraints(M, 1.5), ValidationError),
@@ -109,6 +124,7 @@ ERRORS = [
         ValidationError,
     ),
     ("SubproblemInstance", "costs", lambda: SubproblemInstance(("a",), 0), ValidationError),
+    ("SubproblemInstance", "costs=5", lambda: SubproblemInstance(5, 0), ValidationError),
     ("SubproblemInstance", "slack", lambda: SubproblemInstance((1.0,), 0.5), ValidationError),
     ("AlgorithmConfig", "alpha", lambda: AlgorithmConfig(alpha="a"), ValidationError),
     ("AlgorithmConfig", "beta", lambda: AlgorithmConfig(beta=True), ValidationError),
@@ -118,9 +134,14 @@ ERRORS = [
     (
         "update_and_plan",
         "pair",
-        lambda: update_and_plan(RmedState(4), CFG, (2.5, 1), 1),
+        lambda: _draw((2.5, 1)),
         ValidationError,
     ),
+    ("update_and_plan", "pair=5", lambda: _draw(5), ValidationError),
+    ("update_and_plan", "pair=None", lambda: _draw(None), ValidationError),
+    ("update_and_plan", "pair=(1,)", lambda: _draw((1,)), ValidationError),
+    ("update_and_plan", "pair=(1, 2, 3)", lambda: _draw((1, 2, 3)), ValidationError),
+    ("update_and_plan", "pair={1, 2}", lambda: _draw({1, 2}), ValidationError),
     ("checkpoint_grid", "horizon", lambda: checkpoint_grid(10.5), ValidationError),
     ("simulate", "horizon", lambda: simulate(M, CFG, 10.5, 0), ValidationError),
     ("simulate", "run_seed", lambda: simulate(M, CFG, 10, 0.5), ValidationError),
@@ -225,7 +246,9 @@ class TestErrors:
         assert type(info.value) is error
 
     @pytest.mark.parametrize(
-        "pair", [(2.5, 1), (1, 2.5), (0, 1), (1, 5), (True, 1), ("2", 1)], ids=str
+        "pair",
+        [(2.5, 1), (1, 2.5), (0, 1), (1, 5), (True, 1), ("2", 1), 5, None, (1,), (1, 2, 3), {1, 2}],
+        ids=str,
     )
     def test_rejected_pair_leaves_state_unchanged(self, pair):
         state = RmedState(4)

@@ -15,8 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duelbench import AlgorithmConfig, RmedState, builtin_dataset, simulate_batch, update_and_plan
-from duelbench.constraints import GroupCache, iter_pairs
+from duelbench import (
+    AlgorithmConfig,
+    PreferenceMatrix,
+    RmedState,
+    builtin_dataset,
+    simulate_batch,
+    update_and_plan,
+)
+from duelbench.constraints import GroupCache, iter_pairs, min_lhs_cw
 from duelbench.core import _copeland_sets, gap_divergence, sample_submatrix
 from duelbench import bandit
 from duelbench.harness import _run_single
@@ -117,28 +124,57 @@ class TestDivergenceBits:
             assert state._weights == (counts * gap_divergence(state.muhat)).tolist()
 
 
+def regular_tournament(k):
+    """Odd K: arm i beats the next K // 2 arms (mod K), so every arm is a winner."""
+    vals = np.full((k, k), 0.5)
+    for i in range(k):
+        for step in range(1, k // 2 + 1):
+            j = (i + step) % k
+            vals[i, j] = 0.5 + 0.05 * step + 0.01 * i
+            vals[j, i] = 1.0 - vals[i, j]
+    return PreferenceMatrix(vals)
+
+
+def plan_bits(plan):
+    rates, constant = plan
+    return [x.hex() for x in rates], constant.hex()
+
+
 class TestGroupCacheDrop:
-    def test_a_draw_rewrites_one_pin_entry(self):
-        sushi = builtin_dataset("sushi")
-        sets = _copeland_sets(sushi.values)
-        div = gap_divergence(sushi.values).tolist()
-        i1 = sets[3][0]
-        inferiors = sets[1][i1]
-        j = inferiors[2]
+    # (matrix, winner i1, pin partner j of i1, arm i2 that j beats, pieces kept)
+    # sushi has a Condorcet winner, so no relaxed rival and no piece
+    CASES = [(builtin_dataset("sushi"), 0, 3, 4, 0), (regular_tournament(7), 0, 1, 4, 4)]
+
+    @pytest.mark.parametrize("matrix, i1, j, i2, kept", CASES, ids=["sushi", "tournament7"])
+    def test_a_draw_drops_only_its_two_arms(self, matrix, i1, j, i2, kept):
+        sets = _copeland_sets(matrix.values)
+        div = gap_divergence(matrix.values).tolist()
+        assert j in sets[1][i1] and j in sets[0][i2]
         groups = GroupCache(sets)
-        _ecw_plan(groups, div, i1)
-        before = dict(groups.pins[i1])
-        div[i1][j] *= 1.5
-        div[j][i1] *= 1.5
-        groups.drop(j, i1)
-        assert groups.pins[i1][j] is None
-        assert i1 not in groups.pieces and j not in groups.pieces
-        plan = _ecw_plan(groups, div, i1)
-        assert plan == _ecw_plan(GroupCache(sets), div, i1)
-        after = groups.pins[i1]
-        assert list(after) == list(inferiors)
-        assert after[j] != before[j]
-        assert all(after[m] is before[m] for m in inferiors if m != j)
+        for winner in groups.winners:
+            min_lhs_cw(groups, winner, div)  # the column of every rival
+            _ecw_plan(groups, div, winner)  # the pieces of every relaxed rival
+        columns = dict(groups.columns)
+        pieces = {a: dict(per_winner) for a, per_winner in groups.pieces.items()}
+        before = plan_bits(_ecw_plan(groups, div, i1))
+        groups.budgets[i1] = 1.0
+        for a, b in ((j, i1), (j, i2)):  # a pin pair, then a pair of i2's column
+            div[a][b] *= 1.5
+            div[b][a] *= 1.5
+            groups.drop(a, b)
+        assert groups.budgets == {} and groups.plan is None
+        gone = {j, i1, i2}
+        assert groups.columns.keys() == columns.keys() - gone
+        assert all(groups.columns[a] is columns[a] for a in groups.columns)
+        assert groups.pieces.keys() == pieces.keys() - gone
+        assert len(groups.pieces) == kept
+        for a, per_winner in groups.pieces.items():
+            assert per_winner.keys() == pieces[a].keys()
+            assert all(per_winner[w] is pieces[a][w] for w in per_winner)
+        assert plan_bits(_ecw_plan(groups, div, i1)) != before
+        for winner in groups.winners:
+            fresh = GroupCache(sets)
+            assert plan_bits(_ecw_plan(groups, div, winner)) == plan_bits(_ecw_plan(fresh, div, winner))
 
 
 def bits(rows):
