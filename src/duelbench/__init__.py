@@ -66,7 +66,6 @@ from .solvers import (
     OptimalExploration,
     SubproblemInstance,
     ccb_bound,
-    default_k_max,
     ecw_constant,
     ecw_explicit_bound,
     ecw_optimal,

@@ -64,7 +64,7 @@ from .core import (
     gap_divergences,
 )
 from .errors import InternalInconsistencyError, ValidationError
-from .solvers import _best_plan, _cw_lp, _ecw_plan, check_lp_size
+from .solvers import DEFAULT_K_MAX, _best_plan, _cw_lp, _ecw_plan, check_lp_size
 
 DEFAULT_ALPHA = 3.0
 DEFAULT_BETA = 0.01
@@ -79,7 +79,7 @@ class AlgorithmConfig:
     variant: str = "ecw"
     alpha: float = DEFAULT_ALPHA
     beta: float = DEFAULT_BETA
-    k_max: int | None = None
+    k_max: int = DEFAULT_K_MAX
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -91,8 +91,7 @@ class AlgorithmConfig:
             raise ValidationError(f"beta must be nonnegative, got {beta!r}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-        if self.k_max is not None:
-            object.__setattr__(self, "k_max", _check_integer(self.k_max, "K_max", 0))
+        object.__setattr__(self, "k_max", _check_integer(self.k_max, "K_max", 0))
 
 
 def check_size(config: AlgorithmConfig, k: int) -> None:
@@ -252,6 +251,8 @@ def select_pair(state: RmedState, config: AlgorithmConfig):
 
 def random_baseline_select(rng: np.random.Generator, k: int):
     """Uniform draw over the K(K-1)/2 unordered distinct pairs, 1-based."""
+    if not isinstance(rng, np.random.Generator):
+        raise ValidationError(f"rng must be a numpy Generator, got {type(rng).__name__}")
     k = _check_integer(k, "K", 2)
     idx = int(rng.integers(k * (k - 1) // 2))
     # invert the lexicographic pair index

@@ -15,7 +15,7 @@ import sys
 
 from . import core, harness, solvers
 from .bandit import DEFAULT_ALPHA, DEFAULT_BETA, VARIANTS, AlgorithmConfig
-from .errors import DuelbenchError
+from .errors import DuelbenchError, TooLargeError
 
 
 def _sig3(x: float) -> str:
@@ -44,11 +44,10 @@ def cmd_bounds(args) -> int:
     matrix, label = _load(args)
     summary = core.copeland_summary(matrix)
     winners = sorted(summary.winners)
-    gate = solvers.lp_gate(args.k_max)
-
-    lam = lam_winner = None
-    if matrix.k <= gate:
-        lam, lam_winner = solvers.lower_bound(matrix, k_max=gate)
+    try:
+        lam, lam_winner = solvers.lower_bound(matrix, k_max=args.k_max)
+    except TooLargeError:
+        lam = lam_winner = None
 
     best = solvers.ecw_optimal(matrix)
     explicit = solvers.ecw_explicit_bound(matrix, best.winner)
@@ -80,7 +79,7 @@ def cmd_bounds(args) -> int:
     print(f"dataset: {label}  K={matrix.k}  C={summary.winner_count}  "
           f"L={list(summary.losses)}  Condorcet={condorcet}")
     if lam is None:
-        print(f"lambda (exact lower bound)    skipped (K > K_max={gate})")
+        print(f"lambda (exact lower bound)    skipped (K > K_max={args.k_max})")
     else:
         print(f"lambda (exact lower bound)    {_sig3(lam)}   winner {lam_winner}")
     tag = "   equal (C >= 2)" if equal else ""
@@ -97,7 +96,7 @@ def cmd_run(args) -> int:
         variant=args.algo,
         alpha=args.alpha,
         beta=args.beta,
-        k_max=solvers.lp_gate(args.k_max),
+        k_max=args.k_max,
     )
     trace = harness.simulate_batch(
         matrix,
@@ -161,7 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_flags(p_bounds)
     p_bounds.add_argument("--json", action="store_true", help="machine-readable output")
     p_bounds.add_argument("--rates", action="store_true", help="include optimal rates (with --json)")
-    p_bounds.add_argument("--k-max", type=int, default=None, help="exact-LP size gate override")
+    p_bounds.add_argument(
+        "--k-max", type=int, default=solvers.DEFAULT_K_MAX, help="exact-LP size gate"
+    )
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_run = subs.add_parser("run", help="Monte-Carlo regret simulation")
@@ -178,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--include-runs", action="store_true", help="per-run columns (with --format csv)"
     )
-    p_run.add_argument("--k-max", type=int, default=None)
+    p_run.add_argument("--k-max", type=int, default=solvers.DEFAULT_K_MAX)
     p_run.set_defaults(func=cmd_run)
 
     p_data = subs.add_parser("datasets", help="list built-in preference matrices")

@@ -363,12 +363,15 @@ def check_feasible(
 
     Constraints (and ECW pins, read one-sidedly) are satisfied when the
     left side reaches 1 - FEASIBILITY_TOL.  Runs on sorted weights; never
-    materializes the subset families.
+    materializes the subset families.  The family must come from a matrix
+    with the same Copeland sets as ``matrix``.
     """
     if rates.k != matrix.k or family.k != matrix.k:
         raise ValidationError(
             f"size mismatch: family K={family.k}, rates K={rates.k}, matrix K={matrix.k}"
         )
+    if family._sets[:3] != _strict_sets(matrix)[:3]:
+        raise ValidationError("family was built for a matrix with other Copeland sets")
     weights = (rates.as_matrix() * gap_divergence(matrix.values)).tolist()
     min_lhs = min_lhs_cw if family.kind == "cw" else min_lhs_ecw
     return min_lhs(GroupCache(family._sets), family.i1 - 1, weights) >= 1.0 - FEASIBILITY_TOL

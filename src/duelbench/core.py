@@ -162,11 +162,12 @@ class PreferenceMatrix:
                 f"asymmetric pair ({i + 1},{j + 1}): |mu_ij + mu_ji - 1| = {resid[i, j]:.3e}"
             )
 
-        # canonical storage: entries with row > col are authoritative
+        # canonical storage: entries with row > col are authoritative, clipped
+        # into [0, 1], since gap_divergences maps an entry outside it to 0
         vals = np.full((k, k), 0.5)
         low = np.tril_indices(k, -1)
-        vals[low] = arr[low]
-        vals[(low[1], low[0])] = 1.0 - arr[low]
+        vals[low] = np.clip(arr[low], 0.0, 1.0)
+        vals[(low[1], low[0])] = 1.0 - vals[low]
 
         # both triangles: 1 - mu can round to exactly 1/2 when mu does not
         tied = (vals == 0.5) & ~np.eye(k, dtype=bool)
@@ -453,11 +454,8 @@ _TABLES = {
         """,
 }
 
-#: Names accepted by :func:`builtin_dataset`.  "arxiv" contains an exact
-#: 1/2 entry and therefore loads in tie-tolerant mode.
+#: Names accepted by :func:`builtin_dataset`.
 BUILTIN_DATASETS = tuple(sorted(_TABLES))
-
-_TIE_TOLERANT_DATASETS = frozenset({"arxiv"})
 
 
 def builtin_dataset(name: str) -> PreferenceMatrix:
@@ -473,7 +471,8 @@ def builtin_dataset(name: str) -> PreferenceMatrix:
     for i, row in enumerate(rows):
         for j in range(i):
             rows[j][i] = 1.0 - row[j]
-    return PreferenceMatrix(rows, allow_ties=name in _TIE_TOLERANT_DATASETS)
+    # a table with an exact 1/2 entry (arxiv) loads tie-tolerant and records it in has_ties
+    return PreferenceMatrix(rows, allow_ties=True)
 
 
 # ---------------------------------------------------------------------------

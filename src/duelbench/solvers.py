@@ -33,7 +33,6 @@ exponentially; the relaxed program has no size limit.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
@@ -64,7 +63,6 @@ from .core import (
 )
 from .errors import NumericalInstabilityError, TooLargeError, ValidationError
 
-_K_MAX_ENV = "DUELBENCH_KMAX"
 DEFAULT_K_MAX = 8
 
 #: simplex_solve gives up after this many pivots per tableau row.  The cap
@@ -73,24 +71,9 @@ DEFAULT_K_MAX = 8
 PIVOTS_PER_ROW = 50
 
 
-def default_k_max() -> int:
-    """Exact-LP size gate; override with the DUELBENCH_KMAX environment variable."""
-    raw = os.environ.get(_K_MAX_ENV, str(DEFAULT_K_MAX))
-    try:
-        gate = int(raw)
-    except ValueError:
-        raise ValidationError(f"{_K_MAX_ENV} must be an integer, got {raw!r}") from None
-    return _check_integer(gate, _K_MAX_ENV, 0)
-
-
-def lp_gate(k_max: int | None = None) -> int:
-    """The exact-LP size gate in force, ``k_max`` or else default_k_max(); 0 skips every LP."""
-    return default_k_max() if k_max is None else _check_integer(k_max, "K_max", 0)
-
-
-def check_lp_size(k: int, k_max: int | None = None) -> None:
-    """Raise TooLargeError if a K-arm exact LP exceeds the gate in force."""
-    gate = lp_gate(k_max)
+def check_lp_size(k: int, k_max: int = DEFAULT_K_MAX) -> None:
+    """Raise TooLargeError if a K-arm exact LP exceeds the gate; a gate of 0 skips every LP."""
+    gate = _check_integer(k_max, "K_max", 0)
     if k > gate:
         raise TooLargeError(f"exact LP gated at K_max={gate}, got K={k}")
 
@@ -475,7 +458,7 @@ def _best_plan(planner, groups, div):
     return best
 
 
-def _optimal(matrix: PreferenceMatrix, sets, variant: str, k_max=None) -> OptimalExploration:
+def _optimal(matrix: PreferenceMatrix, sets, variant: str, k_max=DEFAULT_K_MAX) -> OptimalExploration:
     """Optimal exploration of ``variant`` ("cw" or "ecw") for the best of the listed winners.
 
     ``sets`` comes from _winner_sets, for one named winner, or from
@@ -508,7 +491,7 @@ def ecw_optimal(matrix: PreferenceMatrix, i1: int | None = None) -> OptimalExplo
     return _optimal(matrix, sets, "ecw")
 
 
-def lp_cw_optimal(matrix: PreferenceMatrix, i1: int, k_max: int | None = None) -> OptimalExploration:
+def lp_cw_optimal(matrix: PreferenceMatrix, i1: int, k_max: int = DEFAULT_K_MAX) -> OptimalExploration:
     """Exact optimum of the full program for winner i1, via the LP over its minimal rows.
 
     Raises TooLargeError beyond K_max arms (the enumeration of the
@@ -517,7 +500,7 @@ def lp_cw_optimal(matrix: PreferenceMatrix, i1: int, k_max: int | None = None) -
     return _optimal(matrix, _winner_sets(matrix, i1), "cw", k_max)
 
 
-def lower_bound(matrix: PreferenceMatrix, k_max: int | None = None):
+def lower_bound(matrix: PreferenceMatrix, k_max: int = DEFAULT_K_MAX):
     """Exact asymptotic constant: min over winners of the full program.
 
     Returns (constant, winner); ties resolve to the smallest arm index.

@@ -29,6 +29,7 @@ from duelbench import (
     ValidationError,
     builtin_dataset,
     ccb_bound,
+    check_feasible,
     checkpoint_grid,
     copeland_summary,
     cw_constraints,
@@ -129,8 +130,15 @@ ERRORS = [
     ("AlgorithmConfig", "alpha", lambda: AlgorithmConfig(alpha="a"), ValidationError),
     ("AlgorithmConfig", "beta", lambda: AlgorithmConfig(beta=True), ValidationError),
     ("AlgorithmConfig", "k_max", lambda: AlgorithmConfig(k_max=8.5), ValidationError),
+    (
+        "check_feasible",
+        "matrix=reversed cyclic",
+        lambda: check_feasible(cw_constraints(M, 1), RateVector.zeros(4), PreferenceMatrix(1 - M.values)),
+        ValidationError,
+    ),
     ("RmedState", "k", lambda: RmedState(2.5), ValidationError),
     ("random_baseline_select", "k", lambda: random_baseline_select(np.random.default_rng(0), 2.5), ValidationError),
+    ("random_baseline_select", "rng=5", lambda: random_baseline_select(5, 4), ValidationError),
     (
         "update_and_plan",
         "pair",

@@ -384,6 +384,7 @@ class TestBuiltinDatasets:
         m = builtin_dataset("arxiv")
         assert m.has_ties
         assert m.mu(4, 6) == 0.5
+        assert [n for n in BUILTIN_DATASETS if builtin_dataset(n).has_ties] == ["arxiv"]
 
     def test_unknown(self):
         with pytest.raises(UnknownDatasetError):

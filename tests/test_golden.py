@@ -91,12 +91,6 @@ def cli_stdout(capsys, *argv) -> bytes:
     return out.encode("utf-8")
 
 
-@pytest.fixture(autouse=True)
-def default_gate(monkeypatch):
-    # the pins were made with the default exact-LP gate
-    monkeypatch.delenv("DUELBENCH_KMAX", raising=False)
-
-
 def run_digests(capsys, tmp_path, dataset, algo, horizon):
     path = tmp_path / f"{dataset}_{algo}.json"
     out = cli_stdout(

@@ -35,12 +35,6 @@ PINS = {
 MAKERS = {"strict": random_matrix, "multi": random_tied_winner_matrix}
 
 
-@pytest.fixture(autouse=True)
-def default_gate(monkeypatch):
-    # the pins were made with the default exact-LP gate
-    monkeypatch.delenv("DUELBENCH_KMAX", raising=False)
-
-
 @pytest.mark.parametrize("case", sorted(PINS), ids=lambda c: "-".join(map(str, c)))
 def test_bounds_json_rates_bytes(capsys, tmp_path, case):
     kind, k, seed = case

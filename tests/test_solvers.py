@@ -30,7 +30,7 @@ from duelbench import (
     solve_subproblem,
 )
 from duelbench.core import _copeland_sets, _strict_sets
-from duelbench.solvers import _optimal, default_k_max, lp_gate
+from duelbench.solvers import _optimal, check_lp_size
 from oracles import subset_lp_rows, subset_solution_feasible
 
 
@@ -294,36 +294,18 @@ class TestLpCwOptimal:
         with pytest.raises(TooLargeError):
             lower_bound(sushi)
 
-    def test_k_max_override(self, cyclic, monkeypatch):
+    def test_k_max_override(self, cyclic):
         with pytest.raises(TooLargeError):
             lp_cw_optimal(cyclic, 1, k_max=3)
         with pytest.raises(TooLargeError):
             lower_bound(cyclic, k_max=0)  # a gate of 0 skips every exact LP
-        monkeypatch.setenv("DUELBENCH_KMAX", "3")
-        assert default_k_max() == 3
-        with pytest.raises(TooLargeError):
-            lp_cw_optimal(cyclic, 1)
-        monkeypatch.setenv("DUELBENCH_KMAX", "0")
-        assert default_k_max() == 0
-
-    def test_k_max_env_must_be_an_integer(self, cyclic, monkeypatch):
-        monkeypatch.setenv("DUELBENCH_KMAX", "abc")
-        with pytest.raises(ValidationError, match="DUELBENCH_KMAX"):
-            default_k_max()
-        with pytest.raises(ValidationError, match="DUELBENCH_KMAX"):
-            lower_bound(cyclic)
         assert lower_bound(cyclic, k_max=8) == lower_bound(cyclic, k_max=4)
 
-    def test_negative_gate_rejected(self, cyclic, monkeypatch):
+    def test_negative_gate_rejected(self, cyclic):
         with pytest.raises(ValidationError, match="nonnegative"):
-            lp_gate(-1)
+            check_lp_size(2, -1)
         with pytest.raises(ValidationError, match="nonnegative"):
             lower_bound(cyclic, k_max=-1)
-        monkeypatch.setenv("DUELBENCH_KMAX", "-5")
-        with pytest.raises(ValidationError, match="DUELBENCH_KMAX"):
-            default_k_max()
-        with pytest.raises(ValidationError, match="DUELBENCH_KMAX"):
-            lower_bound(cyclic)
 
     def test_ties_reported_before_size_gate(self):
         arxiv = builtin_dataset("arxiv")
