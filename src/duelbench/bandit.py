@@ -23,7 +23,14 @@ numpy log call (``core.gap_divergences``), and drops only the cached
 pieces that read them (``constraints.GroupCache``: budgets, plan, and
 the columns and subproblems of the pair's two arms), so an exploring
 round costs work on the drawn pair's rows and columns rather than a
-K x K rebuild.  Every float equals the one a full rebuild gives.
+K x K rebuild.  The cw plan also keeps each winner's last LP basis,
+which no draw drops: in weight form the LP's polytope reads only the
+Copeland sets (``solvers._cw_replan``).  A replan returns the kept
+basis's vertex only if every reduced cost is below -1e-9, and solves
+from the slack basis otherwise.  Every float equals the one a full
+rebuild gives, the plan's too: a strictly optimal basis sits on the
+unique optimum, which any solve reaches, and its vertex is read off in
+integers, so the pivots that led there leave no trace.
 The cache owns the empirical Copeland sets, every empirical winner
 listed, and the budgets and plan made for them.  A drawn estimate that
 changes side of 1/2 changes those sets, and then only the cache is
@@ -64,7 +71,8 @@ from .core import (
     gap_divergences,
 )
 from .errors import InternalInconsistencyError, ValidationError
-from .solvers import DEFAULT_K_MAX, _best_plan, _cw_lp, _ecw_plan, check_lp_size
+from .solvers import DEFAULT_K_MAX, _best_plan, _ecw_plan, check_lp_size
+from .solvers import _cw_replan as _cw_lp  # the benchmark's tracer wraps bandit._cw_lp
 
 DEFAULT_ALPHA = 3.0
 DEFAULT_BETA = 0.01

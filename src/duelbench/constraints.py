@@ -246,15 +246,19 @@ class GroupCache:
     read them, so a new cache gives the same answers as a full one.  A
     rival's column and subproblems read its column; a winner's pins are
     not kept, since ``_ecw_plan`` reads them from the divergences.  The
-    relaxed rivals and the exact LP's row pattern read only the sets.
-    The bandit keeps each winner's budget and its argmin plan here too;
-    they read every pair.  A caller that changes the pair (l, m) calls
-    ``drop(l, m)``; a change of the sets needs a new cache.
+    relaxed rivals read only the sets.  The bandit keeps each winner's
+    budget and its argmin plan here too; they read every pair.  The exact
+    LP keeps two pieces per winner, which read only the sets: its 0/1 row
+    pattern, read by both of its forms, and the weight form's last
+    tableau, basis and vertex, which ``_cw_replan`` re-prices for new
+    divergences.  A caller that changes the pair (l, m) calls
+    ``drop(l, m)``, which keeps them; a change of the sets needs a new
+    cache.
     """
 
     __slots__ = (
         "sup", "inf", "losses", "winners", "regret",  # fixed for the cache's life
-        "rivals", "columns", "pieces", "lp_rows",  # filled as they are read
+        "rivals", "columns", "pieces", "lp_rows", "bases",  # filled as they are read
         "budgets", "plan",  # filled by the bandit's RmedState
     )
 
@@ -264,7 +268,8 @@ class GroupCache:
         self.rivals = {}  # i1 -> list(_ecw_rivals(sup, losses, i1))
         self.columns = {}  # i2 -> sorted (weights[j][i2], j) for j in sup[i2]
         self.pieces = {}  # i2 -> {i1: _ecw_plan's entries of rival i2}
-        self.lp_rows = {}  # i1 -> _cw_lp's 0/1 row pattern of i1's minimal pair sets
+        self.lp_rows = {}  # i1 -> the exact LP's 0/1 row pattern of i1's minimal pair sets
+        self.bases = {}  # i1 -> (tableau rows, basis, nonbasic, w) of the weight form's last solve
         self.budgets = {}  # i1 -> min_lhs of i1's family at the bandit's weights
         self.plan = None  # (winner, rates, indices of the nonzero rates) of the argmin plan
 

@@ -26,6 +26,12 @@ rival side can contain only sets with none, so only those (at most
 ``GroupCache``, which owns the Copeland sets, the winners to plan for
 and each pair's regret rate; the row pattern reads only the sets and is
 kept there per winner.
+
+The LP has two forms.  ``lp_cw_optimal`` and ``lower_bound`` solve it
+in rates q (the q-form, ``_cw_lp``, through ``simplex_solve``); the
+bandit's replans in weights w_p = d_p q_p (the weight form,
+``_cw_replan``), re-pricing the basis of the last solve, which the cache
+keeps per winner with its exact vertex.  Both pivot by one Bland loop.
 The LP is gated at K_max arms because the enumeration grows
 exponentially; the relaxed program has no size limit.
 """
@@ -35,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
-from operator import itemgetter
+from operator import itemgetter, mul
 
 import numpy as np
 
@@ -257,19 +263,35 @@ def _numpy_pivots(c, rows, b, u):
 def _list_pivots(c, rows, b, u):
     """The condensed simplex on Python lists: (basic variable, value) lists, one per row.
 
+    The same pivots as _numpy_pivots, by _bland on the list tableau.
+    """
+    n = rows.shape[1]
+    tab = _list_tableau(rows.tolist(), b.tolist(), u.tolist(), c.tolist())
+    basis, _ = _bland(tab, n)
+    return basis, [row[n] for row in tab[:-1]]
+
+
+def _list_tableau(rows, b, u, c):
+    """Condensed tableau of max c.z, rows.z <= b, z <= u: a list per row, reduced costs last."""
+    n = len(c)
+    tab = [row + [bk] for row, bk in zip(rows, b)]
+    for k, uk in enumerate(u):
+        row = [0.0] * (n + 1)
+        row[k], row[n] = 1.0, uk
+        tab.append(row)
+    tab.append(c + [0.0])
+    return tab
+
+
+def _bland(tab, n):
+    """Pivot a list tableau from its slack basis to optimal, in place: (basis, nonbasic).
+
     The same pivots as _numpy_pivots, but a pivot updates only the rows
     with a nonzero in the entering column, and in them only the pivot
     row's nonzero cells, by the same expression ``x - cv * p``.
     """
-    r, n = rows.shape
-    m = r + n
-    tab = [row + [bk] for row, bk in zip(rows.tolist(), b.tolist())]
-    for k, uk in enumerate(u.tolist()):
-        row = [0.0] * (n + 1)
-        row[k], row[n] = 1.0, uk
-        tab.append(row)
-    obj = c.tolist() + [0.0]  # reduced costs of max c.z
-    tab.append(obj)
+    obj = tab[-1]
+    m = len(tab) - 1
     basis = list(range(n, n + m))  # variable of each row: z first, then the slacks
     nonbasic = list(range(n))  # variable of each column but the rhs, which never enters
 
@@ -306,7 +328,7 @@ def _list_pivots(c, rows, b, u):
                 row[j] = 0.0 - cv * pj
         tab[i] = prow
         basis[i], nonbasic[j] = nonbasic[j], basis[i]
-    return basis, [row[n] for row in tab[:m]]
+    return basis, nonbasic
 
 
 # ---------------------------------------------------------------------------
@@ -433,15 +455,84 @@ def _cw_lp(groups, div, i1):
     ``groups`` is a GroupCache, which keeps i1's row pattern; each call
     scales it by the divergences ``div`` and solves the LP over those rows.
     """
-    pattern = groups.lp_rows.get(i1)
-    if pattern is None:
-        pattern = groups.lp_rows[i1] = _lp_pattern(groups.sup, groups.inf, groups.losses, i1)
     pairs = list(iter_pairs(len(div)))
     c = np.array([groups.regret[i][j] for i, j in pairs])
     divs = [div[i][j] for i, j in pairs]
     u = np.array([1.0 / d if d > 0.0 else 0.0 for d in divs])
-    x, value = simplex_solve(c, pattern * divs, u)
+    x, value = simplex_solve(c, _rows(groups, i1) * divs, u)
     return x.tolist(), value
+
+
+def _rows(groups, i1):
+    """Winner i1's 0/1 row pattern, made once per GroupCache."""
+    pattern = groups.lp_rows.get(i1)
+    if pattern is None:
+        pattern = groups.lp_rows[i1] = _lp_pattern(groups.sup, groups.inf, groups.losses, i1)
+    return pattern
+
+
+def _cw_replan(groups, div, i1):
+    """_cw_lp's LP in weights w_p = d_p q_p, from the basis kept by the last solve.
+
+    Its polytope, pattern.w >= 1 and 0 <= w <= 1, reads only the Copeland
+    sets; the divergences move only the costs c_p / d_p.  The kept basis
+    is re-priced and kept if every reduced cost is below -1e-9: its vertex
+    is then the unique optimum, which any solve reaches.  Otherwise the LP
+    is solved from the slack basis.  w is read off the basis exactly.
+    """
+    pairs = list(iter_pairs(len(div)))
+    divs = [div[i][j] for i, j in pairs]
+    regret = [groups.regret[i][j] for i, j in pairs]
+    costs = [c / d if d > 0.0 else 0.0 for c, d in zip(regret, divs)]
+    n = len(costs)
+    kept = groups.bases.get(i1)
+    if kept is not None:
+        tab, basis, nonbasic, w = kept
+        price = costs + [0.0] * len(tab)  # a slack costs nothing
+        reduced = [price[v] for v in nonbasic]
+        for row, v in zip(tab, basis):
+            if price[v]:
+                reduced = [x - price[v] * a for x, a in zip(reduced, row)]
+        if max(reduced) >= -1e-9:
+            kept = None
+    if kept is None:
+        groups.bases.pop(i1, None)  # a failed solve leaves no basis behind
+        rows = _rows(groups, i1).tolist()
+        tab = _list_tableau(rows, [sum(row) - 1.0 for row in rows], [1.0] * n, costs)
+        basis, nonbasic = _bland(tab, n)
+        w = _vertex(rows, nonbasic)
+        groups.bases[i1] = tab[:-1], basis, nonbasic, w
+    q = [wp / d if d > 0.0 else 0.0 for wp, d in zip(w, divs)]
+    return q, math.fsum(map(mul, regret, q))
+
+
+def _vertex(rows, nonbasic):
+    """The weights w = 1 - z at a basis of the weight-form tableau, each correctly rounded.
+
+    A nonbasic z puts w at 1, a nonbasic bound slack at 0.  The free w
+    solve the tight rows (slack nonbasic, sum w = 1), a square 0/1 system
+    eliminated in integers by Bareiss's fraction-free Gauss-Jordan: each
+    division is exact and each diagonal cell ends at the last pivot d.
+    """
+    n, r = len(nonbasic), len(rows)
+    out = set(nonbasic)
+    free = [k for k in range(n) if k not in out and n + r + k not in out]
+    w = [0.0 if n + r + k in out else 1.0 for k in range(n)]
+    m = [[int(row[k]) for k in free] + [1 - sum(int(row[k]) for k in out if k < n)]
+         for i, row in enumerate(rows) if n + i in out]
+    d = 1
+    for k in range(len(m)):
+        p = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if p is None:
+            raise NumericalInstabilityError("the simplex basis is singular")
+        m[k], m[p] = m[p], m[k]
+        top = m[k]
+        m = [row if row is top else [(top[k] * x - row[k] * y) // d for x, y in zip(row, top)]
+             for row in m]
+        d = top[k]
+    for k, row in zip(free, m):
+        w[k] = row[-1] / d + 0.0  # int true division rounds correctly; + 0.0 drops a -0.0
+    return w
 
 
 def _best_plan(planner, groups, div):
