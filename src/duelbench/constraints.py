@@ -249,11 +249,11 @@ class GroupCache:
     relaxed rivals read only the sets.  The bandit keeps each winner's
     budget and its argmin plan here too; they read every pair.  The exact
     LP keeps two pieces per winner, which read only the sets: its 0/1 row
-    pattern, read by both of its forms, and the weight form's last
-    tableau, basis and vertex, which ``_cw_replan`` re-prices for new
-    divergences.  A caller that changes the pair (l, m) calls
-    ``drop(l, m)``, which keeps them; a change of the sets needs a new
-    cache.
+    pattern, read by both of its forms, and from the weight form's last
+    solve the basic pairs' tableau rows, the nonbasic variables and the
+    vertex, which ``_cw_replan`` re-prices for new divergences.  A caller
+    that changes the pair (l, m) calls ``drop(l, m)``, which keeps them; a
+    change of the sets needs a new cache.
     """
 
     __slots__ = (
@@ -269,7 +269,7 @@ class GroupCache:
         self.columns = {}  # i2 -> sorted (weights[j][i2], j) for j in sup[i2]
         self.pieces = {}  # i2 -> {i1: _ecw_plan's entries of rival i2}
         self.lp_rows = {}  # i1 -> the exact LP's 0/1 row pattern of i1's minimal pair sets
-        self.bases = {}  # i1 -> (tableau rows, basis, nonbasic, w) of the weight form's last solve
+        self.bases = {}  # i1 -> ((pair, tableau row) per basic pair, nonbasic, w) of the last solve
         self.budgets = {}  # i1 -> min_lhs of i1's family at the bandit's weights
         self.plan = None  # (winner, rates, indices of the nonzero rates) of the argmin plan
 

@@ -12,26 +12,26 @@ simplex below (Bland's rule, deterministic).  It pivots on the condensed
 tableau, which keeps a column per nonbasic variable only; the basic
 columns it leaves out are exact unit vectors, so its pivots and answers
 are bit for bit those of the full tableau.  An LP with no more rows than
-variables, such as the bandit's replans, pivots on Python lists and
-updates only the cells a pivot changes; a larger one pivots on numpy
-arrays.  Both kernels give the same bits.  The LP's rows are the
-minimal pair sets P_IS of the enumerated family: a set that strictly
-contains another is implied by it, since coefficients are per pair and
-nonnegative and x >= 0, so dropping it leaves the feasible polytope, and
-the optimum, unchanged.  Finding them takes one walk of the descriptor
-stream plus a filter over the sets with no rival side: a set with a
-rival side can contain only sets with none, so only those (at most
-2^|H|, quadratic in them) are checked against each other
-(``_lp_pattern`` gives the proof).  Both planners take a
-``GroupCache``, which owns the Copeland sets, the winners to plan for
-and each pair's regret rate; the row pattern reads only the sets and is
-kept there per winner.
+variables pivots on Python lists and updates only the cells a pivot
+changes; a larger one pivots on numpy arrays.  Both kernels give the
+same bits.  The LP's rows are the minimal pair sets P_IS of the
+enumerated family: a set that strictly contains another is implied by
+it, since coefficients are per pair and nonnegative and x >= 0, so
+dropping it leaves the feasible polytope, and the optimum, unchanged.
+Finding them takes one walk of the descriptor stream plus a filter over
+the sets with no rival side: a set with a rival side can contain only
+sets with none, so only those (at most 2^|H|, quadratic in them) are
+checked against each other (``_lp_pattern`` gives the proof).  Both
+planners take a ``GroupCache``, which owns the Copeland sets, the
+winners to plan for and each pair's regret rate; the row pattern reads
+only the sets and is kept there per winner.
 
 The LP has two forms.  ``lp_cw_optimal`` and ``lower_bound`` solve it
 in rates q (the q-form, ``_cw_lp``, through ``simplex_solve``); the
 bandit's replans in weights w_p = d_p q_p (the weight form,
 ``_cw_replan``), re-pricing the basis of the last solve, which the cache
-keeps per winner with its exact vertex.  Both pivot by one Bland loop.
+keeps per winner with its exact vertex.  Both solve cold by _pivots,
+which picks the kernel by the LP's shape.
 The LP is gated at K_max arms because the enumeration grows
 exponentially; the relaxed program has no size limit.
 """
@@ -202,17 +202,28 @@ def simplex_solve(costs, constraints, upper_bounds):
         raise ValidationError(f"constraint row {bad} is violated even at the box point")
     b = np.maximum(b, 0.0)
 
-    kernel = _list_pivots if rows.shape[0] <= n else _numpy_pivots
     z = np.zeros(n)
-    for bv, value in zip(*kernel(c, rows, b, u)):
-        if bv < n:
-            z[bv] = value
+    for k, row in _pivots(c, rows, b, u)[1]:
+        z[k] = row[n]
     x = np.clip(u - z, 0.0, u)
     return x, float(c @ x)
 
 
+def _pivots(c, rows, b, u):
+    """Optimal basis of max c.z, rows.z <= b, 0 <= z <= u: (nonbasic, [(k, row) per basic z_k]).
+
+    Variables are z first, then the r row slacks and the n bound slacks;
+    column j of a tableau row (a list) is nonbasic[j]'s, and column n the
+    right-hand side.  An LP with no more rows than variables (r <= n)
+    pivots on Python lists (_list_pivots), a larger one on numpy arrays
+    (_numpy_pivots).
+    """
+    kernel = _list_pivots if rows.shape[0] <= rows.shape[1] else _numpy_pivots
+    return kernel(c, rows, b, u)
+
+
 def _numpy_pivots(c, rows, b, u):
-    """The condensed simplex on numpy arrays: (basic variable, value) lists, one per row.
+    """The condensed simplex on numpy arrays, for _pivots.
 
     Each pivot is one rank-one update of the whole tableau.
     """
@@ -257,41 +268,26 @@ def _numpy_pivots(c, rows, b, u):
         tab -= colv[:, None] * prow
         tab[i] = prow
         basis[i], nonbasic[j] = nonbasic[j], basis[i]
-    return basis.tolist(), tab[:m, -1].tolist()
+    basic = np.flatnonzero(basis < n)  # the rows of basic z
+    return nonbasic[:n].tolist(), list(zip(basis[basic].tolist(), tab[basic].tolist()))
 
 
 def _list_pivots(c, rows, b, u):
-    """The condensed simplex on Python lists: (basic variable, value) lists, one per row.
-
-    The same pivots as _numpy_pivots, by _bland on the list tableau.
-    """
-    n = rows.shape[1]
-    tab = _list_tableau(rows.tolist(), b.tolist(), u.tolist(), c.tolist())
-    basis, _ = _bland(tab, n)
-    return basis, [row[n] for row in tab[:-1]]
-
-
-def _list_tableau(rows, b, u, c):
-    """Condensed tableau of max c.z, rows.z <= b, z <= u: a list per row, reduced costs last."""
-    n = len(c)
-    tab = [row + [bk] for row, bk in zip(rows, b)]
-    for k, uk in enumerate(u):
-        row = [0.0] * (n + 1)
-        row[k], row[n] = 1.0, uk
-        tab.append(row)
-    tab.append(c + [0.0])
-    return tab
-
-
-def _bland(tab, n):
-    """Pivot a list tableau from its slack basis to optimal, in place: (basis, nonbasic).
+    """The condensed simplex on Python lists, for _pivots.
 
     The same pivots as _numpy_pivots, but a pivot updates only the rows
     with a nonzero in the entering column, and in them only the pivot
     row's nonzero cells, by the same expression ``x - cv * p``.
     """
-    obj = tab[-1]
-    m = len(tab) - 1
+    r, n = rows.shape
+    m = r + n
+    tab = [row + [bk] for row, bk in zip(rows.tolist(), b.tolist())]
+    for k, uk in enumerate(u.tolist()):
+        row = [0.0] * (n + 1)
+        row[k], row[n] = 1.0, uk
+        tab.append(row)
+    obj = c.tolist() + [0.0]  # reduced costs of max c.z
+    tab.append(obj)
     basis = list(range(n, n + m))  # variable of each row: z first, then the slacks
     nonbasic = list(range(n))  # variable of each column but the rhs, which never enters
 
@@ -328,7 +324,7 @@ def _bland(tab, n):
                 row[j] = 0.0 - cv * pj
         tab[i] = prow
         basis[i], nonbasic[j] = nonbasic[j], basis[i]
-    return basis, nonbasic
+    return nonbasic, [(v, row) for v, row in zip(basis, tab) if v < n]
 
 
 # ---------------------------------------------------------------------------
@@ -478,30 +474,32 @@ def _cw_replan(groups, div, i1):
     sets; the divergences move only the costs c_p / d_p.  The kept basis
     is re-priced and kept if every reduced cost is below -1e-9: its vertex
     is then the unique optimum, which any solve reaches.  Otherwise the LP
-    is solved from the slack basis.  w is read off the basis exactly.
+    is solved from the slack basis by _pivots.  w is read off the basis
+    exactly.
     """
     pairs = list(iter_pairs(len(div)))
     divs = [div[i][j] for i, j in pairs]
     regret = [groups.regret[i][j] for i, j in pairs]
-    costs = [c / d if d > 0.0 else 0.0 for c, d in zip(regret, divs)]
+    # a tied pair (d = 0) is in no Copeland set, so no row reads its w: a
+    # negative cost leaves it nonbasic at w = 1 in every solve, as 0 would,
+    # and its reduced cost strictly negative; its rate is 0 either way
+    costs = [c / d if d > 0.0 else -1.0 for c, d in zip(regret, divs)]
     n = len(costs)
     kept = groups.bases.get(i1)
     if kept is not None:
-        tab, basis, nonbasic, w = kept
-        price = costs + [0.0] * len(tab)  # a slack costs nothing
-        reduced = [price[v] for v in nonbasic]
-        for row, v in zip(tab, basis):
-            if price[v]:
-                reduced = [x - price[v] * a for x, a in zip(reduced, row)]
+        zrows, nonbasic, w = kept
+        # a slack costs nothing, so only the rows of basic pairs price
+        reduced = [costs[v] if v < n else 0.0 for v in nonbasic]
+        for v, row in zrows:
+            reduced = [x - costs[v] * a for x, a in zip(reduced, row)]
         if max(reduced) >= -1e-9:
             kept = None
     if kept is None:
         groups.bases.pop(i1, None)  # a failed solve leaves no basis behind
-        rows = _rows(groups, i1).tolist()
-        tab = _list_tableau(rows, [sum(row) - 1.0 for row in rows], [1.0] * n, costs)
-        basis, nonbasic = _bland(tab, n)
-        w = _vertex(rows, nonbasic)
-        groups.bases[i1] = tab[:-1], basis, nonbasic, w
+        rows = _rows(groups, i1)
+        nonbasic, zrows = _pivots(np.array(costs), rows, rows.sum(axis=1) - 1.0, np.ones(n))
+        w = _vertex(rows.tolist(), nonbasic)
+        groups.bases[i1] = zrows, nonbasic, w
     q = [wp / d if d > 0.0 else 0.0 for wp, d in zip(w, divs)]
     return q, math.fsum(map(mul, regret, q))
 
@@ -511,35 +509,62 @@ def _vertex(rows, nonbasic):
 
     A nonbasic z puts w at 1, a nonbasic bound slack at 0.  The free w
     solve the tight rows (slack nonbasic, sum w = 1), a square 0/1 system
-    eliminated in integers by Bareiss's fraction-free Gauss-Jordan: each
-    division is exact and each diagonal cell ends at the last pivot d.
+    solved in integers.  A row with one unknown left fixes it to an
+    integer; those are peeled off first.  Bareiss's fraction-free
+    elimination leaves the rest upper triangular with its determinant D,
+    up to sign, as the last pivot, and back substitution gives each D w,
+    an integer by Cramer's rule, so every division is exact.
     """
     n, r = len(nonbasic), len(rows)
     out = set(nonbasic)
     free = [k for k in range(n) if k not in out and n + r + k not in out]
     w = [0.0 if n + r + k in out else 1.0 for k in range(n)]
-    m = [[int(row[k]) for k in free] + [1 - sum(int(row[k]) for k in out if k < n)]
-         for i, row in enumerate(rows) if n + i in out]
-    d = 1
-    for k in range(len(m)):
+    tight = [([k for k in free if row[k]], 1 - sum(1 for k in out if k < n and row[k]))
+             for i, row in enumerate(rows) if n + i in out]
+    known = {}  # peeled w, as ints
+    while True:
+        rest = []
+        for ks, rhs in tight:
+            left = [k for k in ks if k not in known]
+            if len(left) == 1:
+                known[left[0]] = rhs - sum(known.get(k, 0) for k in ks)
+            else:
+                rest.append((ks, rhs))
+        if len(rest) == len(tight):
+            break
+        tight = rest
+    free = [k for k in free if k not in known]
+    m = [[int(k in ks) for k in free] + [rhs - sum(known.get(k, 0) for k in ks)]
+         for ks, rhs in tight]
+    s, d = len(free), 1
+    for k in range(s):
         p = next((i for i in range(k, len(m)) if m[i][k]), None)
         if p is None:
             raise NumericalInstabilityError("the simplex basis is singular")
         m[k], m[p] = m[p], m[k]
-        top = m[k]
-        m = [row if row is top else [(top[k] * x - row[k] * y) // d for x, y in zip(row, top)]
-             for row in m]
-        d = top[k]
-    for k, row in zip(free, m):
-        w[k] = row[-1] / d + 0.0  # int true division rounds correctly; + 0.0 drops a -0.0
+        a, top = m[k][k], m[k][k + 1 :]
+        for row in m[k + 1 :]:
+            b = row[k]
+            row[k + 1 :] = [(a * x - b * y) // d for x, y in zip(row[k + 1 :], top)]
+        d = a
+    dw = [0] * s
+    for k in reversed(range(s)):
+        row = m[k]
+        dw[k] = (d * row[s] - sum(map(mul, row[k + 1 : s], dw[k + 1 :]))) // row[k]
+    for k, x in zip(free, dw):
+        w[k] = x / d + 0.0  # int true division rounds correctly; + 0.0 drops a -0.0
+    for k, x in known.items():
+        w[k] = float(x)
     return w
 
 
 def _best_plan(planner, groups, div):
     """(winner, rates, constant) of the cache's winner whose plan has the smallest constant.
 
-    ``planner`` is _ecw_plan or _cw_lp.  Ties go to the winner listed
-    first, so an ascending list resolves them to the smallest arm.
+    ``planner`` is _ecw_plan, or for the exact LP _cw_lp (the q-form, for
+    _optimal) or _cw_replan (the weight form, for the bandit).  Ties go to
+    the winner listed first, so an ascending list resolves them to the
+    smallest arm.
     """
     best = None
     for i1 in groups.winners:
