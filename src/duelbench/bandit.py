@@ -18,19 +18,26 @@ bounds on the smallest N_ij and the smallest gap: a draw only raises a
 count and lowers the gap floor when it writes a smaller gap, so a pass
 on the floors is a pass of every pair, and only a failure takes the
 exact minima and, if they fail too, scans the pairs.  The next plan
-step rewrites only the drawn pairs' divergences and weights, with one
-numpy log call (``core.gap_divergences``), and drops only the cached
-pieces that read them (``constraints.GroupCache``: budgets, plan, and
-the columns and subproblems of the pair's two arms), so an exploring
-round costs work on the drawn pair's rows and columns rather than a
-K x K rebuild.  The cw plan also keeps each winner's last LP basis,
-which no draw drops: in weight form the LP's polytope reads only the
-Copeland sets (``solvers._cw_replan``).  A replan returns the kept
-basis's vertex only if every reduced cost is below -1e-9, and solves
-from the slack basis otherwise.  Every float equals the one a full
-rebuild gives, the plan's too: a strictly optimal basis sits on the
-unique optimum, which any solve reaches, and its vertex is read off in
-integers, so the pivots that led there leave no trace.
+step rewrites only the drawn pairs' divergences and weights, taking
+numpy's log value by value for one pair (``core.gap_divergences``), and drops
+only the cached pieces that read them (``constraints.GroupCache``:
+budgets, plan, and the columns and subproblems of the pair's two arms),
+so an exploring round costs work on the drawn pair's rows and columns
+rather than a K x K rebuild.  A winner's budget is tested against
+(1-tol) ln t by a walk that stops at the first left side below it; that
+short value is kept apart from the exact budgets and fails again until
+the next draw, since the threshold only grows.  A budget that clears is
+walked in full and kept.  The cw plan also keeps each winner's last LP
+basis, which no draw drops: in weight form the LP's polytope reads only
+the Copeland sets (``solvers._cw_replan``).  A replan re-prices the kept
+basis one nonbasic column at a time, over that column's nonzero cells,
+and stops at the first reduced cost at or above -1e-9; it returns the
+kept basis's vertex only if every column passes, and solves from the
+slack basis otherwise.  A nonbasic pair that is in no row is not priced:
+it costs 0 and keeps w = 1 in every solve.  Every float equals
+the one a full rebuild gives, the plan's too: a strictly optimal basis
+sits on the unique optimum, which any solve reaches, and its vertex is
+read off in integers, so the pivots that led there leave no trace.
 The cache owns the empirical Copeland sets, every empirical winner
 listed, and the budgets and plan made for them.  A drawn estimate that
 changes side of 1/2 changes those sets, and then only the cache is
@@ -193,12 +200,26 @@ class RmedState:
         if moved:
             self._groups = GroupCache(_copeland_sets(muhat))
 
-    def _budget(self, i1: int, variant: str) -> float:
+    def _budget(self, i1: int, variant: str, floor: float = -inf) -> float:
+        """Winner i1's budget, or a left side of its family below ``floor``.
+
+        A result at or above ``floor`` is the exact budget, and is kept in
+        ``budgets``.  A walk that ends below it may have stopped early, so
+        its result is kept apart, in ``short``, and answers only a later
+        call whose floor it is still below.
+        """
         groups = self._groups
         cached = groups.budgets.get(i1)
         if cached is None:
+            short = groups.short.get(i1)
+            if short is not None and short < floor:
+                return short
             min_lhs = min_lhs_cw if variant == "cw" else min_lhs_ecw
-            cached = groups.budgets[i1] = min_lhs(groups, i1, self._weights)
+            cached = min_lhs(groups, i1, self._weights, floor)
+            if cached < floor:
+                groups.short[i1] = cached
+            else:
+                groups.budgets[i1] = cached
         return cached
 
     def _planned(self, variant: str):
@@ -272,10 +293,15 @@ def random_baseline_select(rng: np.random.Generator, k: int):
 
 
 def _confirmed_winner(state: RmedState, config: AlgorithmConfig, logt: float):
-    """First empirical winner whose budget clears (1-tol) ln t, or None."""
+    """First empirical winner whose budget clears (1-tol) ln t, or None.
+
+    The threshold is each budget walk's floor: the walk stops at the first
+    left side below it, and that short value fails every later round's
+    threshold too, until a draw drops it.
+    """
     threshold = (1.0 - FEASIBILITY_TOL) * logt
     for i1 in state._groups.winners:
-        if state._budget(i1, config.variant) >= threshold:
+        if state._budget(i1, config.variant, threshold) >= threshold:
             return i1
     return None
 

@@ -241,45 +241,60 @@ class GroupCache:
     ``sets`` is (superiors, inferiors, losses, winners), all 0-based, and
     ``winners`` the arms that budgets and plans are made for: every
     winner, or one named arm.  ``regret[i][j]`` is the per-round regret
-    (L_i + L_j - 2 L_min) / (2(K-1)) of the pair.  ``min_lhs_cw``,
-    ``min_lhs_ecw`` and the planners in ``solvers`` fill the pieces as they
-    read them, so a new cache gives the same answers as a full one.  A
-    rival's column and subproblems read its column; a winner's pins are
-    not kept, since ``_ecw_plan`` reads them from the divergences.  The
-    relaxed rivals read only the sets.  The bandit keeps each winner's
-    budget and its argmin plan here too; they read every pair.  The exact
-    LP keeps two pieces per winner, which read only the sets: its 0/1 row
-    pattern, read by both of its forms, and from the weight form's last
-    solve the basic pairs' tableau rows, the nonbasic variables and the
-    vertex, which ``_cw_replan`` re-prices for new divergences.  A caller
-    that changes the pair (l, m) calls ``drop(l, m)``, which keeps them; a
-    change of the sets needs a new cache.
+    (L_i + L_j - 2 L_min) / (2(K-1)) of the pair, and ``pair_table()`` the
+    pairs in ``iter_pairs`` order with their regret rates, made on first
+    use.  ``min_lhs_cw``, ``min_lhs_ecw`` and the planners in ``solvers``
+    fill the pieces as they read them, so a new cache gives the same
+    answers as a full one.  A rival's column and subproblems read its
+    column; a winner's pins are not kept, since ``_ecw_plan`` reads them
+    from the divergences.  The relaxed rivals read only the sets.  The
+    bandit keeps here too each winner's exact budget, the short left side
+    of a budget walk that stopped below its floor, and the argmin plan;
+    they read every pair.  The exact LP keeps two pieces per winner, which
+    read only the sets: its 0/1 row pattern, read by both of its forms,
+    and from the weight form's last solve each nonbasic column's nonzero
+    cells and the vertex, which ``_cw_replan`` re-prices for new
+    divergences.  A caller that changes the pair (l, m) calls
+    ``drop(l, m)``, which keeps them; a change of the sets needs a new
+    cache.
     """
 
     __slots__ = (
         "sup", "inf", "losses", "winners", "regret",  # fixed for the cache's life
-        "rivals", "columns", "pieces", "lp_rows", "bases",  # filled as they are read
-        "budgets", "plan",  # filled by the bandit's RmedState
+        "flat", "rivals", "columns", "pieces", "lp_rows", "bases",  # filled as they are read
+        "budgets", "short", "plan",  # filled by the bandit's RmedState
     )
 
     def __init__(self, sets):
         self.sup, self.inf, self.losses, self.winners = sets
         self.regret = regret_table(self.losses).tolist()
+        self.flat = None  # (pairs in iter_pairs order, regret rate per pair)
         self.rivals = {}  # i1 -> list(_ecw_rivals(sup, losses, i1))
         self.columns = {}  # i2 -> sorted (weights[j][i2], j) for j in sup[i2]
         self.pieces = {}  # i2 -> {i1: _ecw_plan's entries of rival i2}
         self.lp_rows = {}  # i1 -> the exact LP's 0/1 row pattern of i1's minimal pair sets
-        self.bases = {}  # i1 -> ((pair, tableau row) per basic pair, nonbasic, w) of the last solve
+        # i1 -> ([(variable, [(basic pair, coefficient) per nonzero cell, in basic-row
+        # order]) per nonbasic column the re-pricing reads], w) of the last solve
+        self.bases = {}
         self.budgets = {}  # i1 -> min_lhs of i1's family at the bandit's weights
+        self.short = {}  # i1 -> a left side of i1's family below the floor its walk stopped at
         self.plan = None  # (winner, rates, indices of the nonzero rates) of the argmin plan
 
     def drop(self, l: int, m: int) -> None:
         """Forget the budgets, the plan, and the columns and pieces of l and m: all read (l, m)."""
         self.budgets.clear()
+        self.short.clear()
         self.plan = None
         for a in (l, m):
             self.columns.pop(a, None)
             self.pieces.pop(a, None)
+
+    def pair_table(self):
+        """(pairs in iter_pairs order, each pair's regret rate), made once per cache."""
+        if self.flat is None:
+            pairs = list(iter_pairs(len(self.losses)))
+            self.flat = pairs, [self.regret[i][j] for i, j in pairs]
+        return self.flat
 
     def ecw_rivals(self, i1):
         rivals = self.rivals.get(i1)
@@ -310,13 +325,14 @@ def _prefix(ranked, skip=None, n=inf):
     return out
 
 
-def min_lhs_cw(groups, i1, weights) -> float:
+def min_lhs_cw(groups, i1, weights, floor=-inf) -> float:
     """Minimum constraint left side over winner i1's full family, +inf if empty.
 
     ``groups`` is a GroupCache for these weights, and ``weights[i][j]``
     must hold q_ij * d_KL(mu_ij, 1/2) (symmetric).  For each rival i2 and
     level l the binding descriptor takes the smallest weights of S and of
-    H - {i2}, H being the arms i1 beats.
+    H - {i2}, H being the arms i1 beats.  The walk returns the first left
+    side below ``floor``; a result at or above it is the exact minimum.
     """
     sup, inf_sets, losses = groups.sup, groups.inf, groups.losses
     w_row = weights[i1]
@@ -344,19 +360,27 @@ def min_lhs_cw(groups, i1, weights) -> float:
                 if 0 <= a < len(pref_h) and b < len(pref_s):
                     lhs = forced + pref_h[a] + pref_s[b]
                     if lhs < best:
+                        if lhs < floor:
+                            return lhs
                         best = lhs
     return best
 
 
-def min_lhs_ecw(groups, i1, weights) -> float:
+def min_lhs_ecw(groups, i1, weights, floor=-inf) -> float:
     """Minimum left side over winner i1's relaxed family: pins and subset constraints.
 
-    ``groups`` is a GroupCache for these weights.
+    ``groups`` is a GroupCache for these weights.  The walk returns the
+    first left side below ``floor``; a result at or above it is the exact
+    minimum.
     """
     best = min((weights[i1][j] for j in groups.inf[i1]), default=inf)
+    if best < floor:
+        return best
     for i2, _, need in groups.ecw_rivals(i1):
         lhs = _prefix(groups.column(weights, i2), i1, need)[need]
         if lhs < best:
+            if lhs < floor:
+                return lhs
             best = lhs
     return best
 

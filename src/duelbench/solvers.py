@@ -30,7 +30,8 @@ The LP has two forms.  ``lp_cw_optimal`` and ``lower_bound`` solve it
 in rates q (the q-form, ``_cw_lp``, through ``simplex_solve``); the
 bandit's replans in weights w_p = d_p q_p (the weight form,
 ``_cw_replan``), re-pricing the basis of the last solve, which the cache
-keeps per winner with its exact vertex.  Both solve cold by _pivots,
+keeps per winner as the nonzero cells of its nonbasic columns, with its
+exact vertex.  Both solve cold by _pivots,
 which picks the kernel by the LP's shape.
 The LP is gated at K_max arms because the enumeration grows
 exponentially; the relaxed program has no size limit.
@@ -52,7 +53,6 @@ from .constraints import (
     _prefix,
     _rivals,
     _winner_sets,
-    iter_pairs,
     pair_count,
     pair_index,
 )
@@ -451,11 +451,10 @@ def _cw_lp(groups, div, i1):
     ``groups`` is a GroupCache, which keeps i1's row pattern; each call
     scales it by the divergences ``div`` and solves the LP over those rows.
     """
-    pairs = list(iter_pairs(len(div)))
-    c = np.array([groups.regret[i][j] for i, j in pairs])
+    pairs, regret = groups.pair_table()
     divs = [div[i][j] for i, j in pairs]
     u = np.array([1.0 / d if d > 0.0 else 0.0 for d in divs])
-    x, value = simplex_solve(c, _rows(groups, i1) * divs, u)
+    x, value = simplex_solve(np.array(regret), _rows(groups, i1) * divs, u)
     return x.tolist(), value
 
 
@@ -472,36 +471,60 @@ def _cw_replan(groups, div, i1):
 
     Its polytope, pattern.w >= 1 and 0 <= w <= 1, reads only the Copeland
     sets; the divergences move only the costs c_p / d_p.  The kept basis
-    is re-priced and kept if every reduced cost is below -1e-9: its vertex
-    is then the unique optimum, which any solve reaches.  Otherwise the LP
-    is solved from the slack basis by _pivots.  w is read off the basis
+    is re-priced column by column and kept if every reduced cost is below
+    -1e-9: its vertex is then the unique optimum, which any solve reaches.
+    The first column at or above it ends the re-pricing, and the LP is
+    solved from the slack basis by _pivots.  w is read off the basis
     exactly.
     """
-    pairs = list(iter_pairs(len(div)))
+    pairs, regret = groups.pair_table()
     divs = [div[i][j] for i, j in pairs]
-    regret = [groups.regret[i][j] for i, j in pairs]
-    # a tied pair (d = 0) is in no Copeland set, so no row reads its w: a
-    # negative cost leaves it nonbasic at w = 1 in every solve, as 0 would,
-    # and its reduced cost strictly negative; its rate is 0 either way
-    costs = [c / d if d > 0.0 else -1.0 for c, d in zip(regret, divs)]
+    # a tied pair (d = 0) is in no row, as no Copeland set holds it: it costs
+    # nothing and keeps w = 1, and its rate is 0
+    costs = [c / d if d > 0.0 else 0.0 for c, d in zip(regret, divs)]
     n = len(costs)
     kept = groups.bases.get(i1)
     if kept is not None:
-        zrows, nonbasic, w = kept
-        # a slack costs nothing, so only the rows of basic pairs price
-        reduced = [costs[v] if v < n else 0.0 for v in nonbasic]
-        for v, row in zrows:
-            reduced = [x - costs[v] * a for x, a in zip(reduced, row)]
-        if max(reduced) >= -1e-9:
-            kept = None
+        columns, w = kept
+        # a slack costs nothing; only the cells of basic pairs price, in the
+        # order the dense row-by-row update subtracts them
+        for v, cells in columns:
+            reduced = costs[v] if v < n else 0.0
+            for p, a in cells:
+                reduced -= costs[p] * a
+            if reduced >= -1e-9:
+                kept = None
+                break
     if kept is None:
         groups.bases.pop(i1, None)  # a failed solve leaves no basis behind
         rows = _rows(groups, i1)
         nonbasic, zrows = _pivots(np.array(costs), rows, rows.sum(axis=1) - 1.0, np.ones(n))
         w = _vertex(rows.tolist(), nonbasic)
-        groups.bases[i1] = zrows, nonbasic, w
+        groups.bases[i1] = _priced_columns(rows, nonbasic, zrows), w
     q = [wp / d if d > 0.0 else 0.0 for wp, d in zip(w, divs)]
     return q, math.fsum(map(mul, regret, q))
+
+
+def _priced_columns(rows, nonbasic, zrows):
+    """The nonbasic columns a re-pricing reads: (variable, [(basic pair, coefficient)]) each.
+
+    A column keeps its nonzero cells in the rows of basic pairs, in row
+    order; the dense update differs from their sum only by subtracting
+    exact zeros, which can change no more than the sign of a zero.  The
+    column of a pair that no row holds is left out: its cell in every
+    row is 0, so its reduced cost is its own cost.  That cost is 0 for as
+    long as the sets hold: a pair in no row that costs more than 1e-9
+    enters and is not nonbasic, and a pair costs that little only when its
+    regret or its divergence is 0.  So it never enters, and w = 1 there in
+    every solve.
+    """
+    n = rows.shape[1]
+    held = rows.any(axis=0).tolist()
+    return [
+        (v, [(p, row[j]) for p, row in zrows if row[j]])
+        for j, v in enumerate(nonbasic)
+        if v >= n or held[v]
+    ]
 
 
 def _vertex(rows, nonbasic):

@@ -14,8 +14,10 @@ from duelbench import (
     select_pair,
     update_and_plan,
 )
-from duelbench import bandit
+from duelbench import bandit, builtin_dataset, simulate_batch
 from duelbench.bandit import BOOTSTRAP_ROUNDS, check_size
+from duelbench.constraints import FEASIBILITY_TOL, GroupCache, min_lhs_cw, min_lhs_ecw
+from duelbench.core import sample_submatrix
 
 
 def exploit_ready_state(matrix, t=2000, n=1000):
@@ -372,3 +374,42 @@ class TestVariantAgreement:
                 pairs.append(pair)
             results.append(pairs)
         assert results[0] == results[1]
+
+
+class TestEarlyStopBudget:
+    """Budget walks stop at the first left side below (1-tol) ln t; no verdict moves.
+
+    On every ``_confirmed_winner`` call of a run, the winner it returns is
+    the one full ``min_lhs_*`` walks on a fresh cache pick, every kept
+    budget is exact, and every kept short value is a left side below the
+    threshold.
+    """
+
+    RUNS = [
+        ("cw", lambda: sample_submatrix(builtin_dataset("sushi"), 6, 0.02, 3), 1_000),
+        ("cw", lambda: builtin_dataset("cyclic"), 20_000),
+        ("ecw", lambda: builtin_dataset("sushi"), 5_000),
+    ]
+
+    @pytest.mark.parametrize("variant, make, horizon", RUNS, ids=["cw-sushi6", "cw-cyclic", "ecw-sushi"])
+    def test_every_verdict_equals_the_full_walks(self, monkeypatch, variant, make, horizon):
+        original = bandit._confirmed_winner
+        min_lhs = min_lhs_cw if variant == "cw" else min_lhs_ecw
+        seen = {"calls": 0, "stopped": 0}
+
+        def checked(state, config, logt):
+            got = original(state, config, logt)
+            groups, weights = state._groups, state._weights
+            threshold = (1.0 - FEASIBILITY_TOL) * logt
+            fresh = GroupCache((groups.sup, groups.inf, groups.losses, groups.winners))
+            full = {i1: min_lhs(fresh, i1, weights) for i1 in groups.winners}
+            assert got == next((i1 for i1 in groups.winners if full[i1] >= threshold), None)
+            assert all(budget == full[i1] for i1, budget in groups.budgets.items())
+            assert all(full[i1] <= short < threshold for i1, short in groups.short.items())
+            seen["calls"] += 1
+            seen["stopped"] += any(short != full[i1] for i1, short in groups.short.items())
+            return got
+
+        monkeypatch.setattr(bandit, "_confirmed_winner", checked)
+        simulate_batch(make(), AlgorithmConfig(variant=variant), horizon, 1, 3)
+        assert seen["stopped"] > 0 and seen["calls"] > seen["stopped"]

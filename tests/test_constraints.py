@@ -74,6 +74,19 @@ def assert_min_lhs_match_brute(vals, copeland, i1, weights):
     assert fast_ecw == pytest.approx(brute_ecw, rel=1e-12) or (
         math.isinf(fast_ecw) and math.isinf(brute_ecw)
     )
+    for min_lhs, full in ((min_lhs_cw, fast), (min_lhs_ecw, fast_ecw)):
+        assert_floor_stops_early(min_lhs, copeland, i1, weights, full)
+
+
+def assert_floor_stops_early(min_lhs, copeland, i1, weights, full):
+    """With a floor, a walk gives the exact minimum when it clears the floor,
+    and otherwise a left side of the family below the floor."""
+    for floor in (-math.inf, 0.0, full / 2, full, math.nextafter(full, math.inf), 2 * full + 1, math.inf):
+        got = min_lhs(GroupCache(copeland), i1, weights, floor)
+        if full >= floor:
+            assert got == full
+        else:
+            assert full <= got < floor
 
 
 class TestRateVector:

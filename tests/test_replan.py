@@ -2,11 +2,14 @@
 
 ``solvers._cw_replan`` solves the exact LP in weight form, w_p = d_p q_p,
 whose polytope reads only the Copeland sets.  Its ``GroupCache`` keeps
-the basis of each winner's last solve; a replan re-prices it and returns
-its vertex only when every reduced cost is below -1e-9, that is when the
-vertex is the unique optimum, and solves from the slack basis otherwise.
-The vertex is read off the basis exactly (``solvers._vertex``), so the
-pivot path that reached it leaves no trace in the bits.
+the basis of each winner's last solve as the nonzero cells of its
+nonbasic columns; a replan re-prices it column by column and returns its
+vertex only when every reduced cost is below -1e-9, that is when the
+vertex is the unique optimum (a pair in no row aside: it keeps w = 1 in
+every solve), and solves from the slack basis otherwise.  The vertex is
+read off the basis exactly (``solvers._vertex``), so the pivot path that
+reached it leaves no trace in the bits.  The dense re-pricing of whole
+tableau rows (``reduced_costs``) is the oracle of the kept verdict.
 """
 
 from fractions import Fraction
@@ -27,6 +30,12 @@ from conftest import random_matrix
 def bits(plan):
     rates, constant = plan
     return [x.hex() for x in rates], constant.hex()
+
+
+def weight_costs(groups, div):
+    """The weight form's costs c_p / d_p, in pair order; a tied pair (d = 0) costs 0."""
+    pairs = [(i, j) for i in range(len(div)) for j in range(i)]
+    return [groups.regret[i][j] / div[i][j] if div[i][j] > 0.0 else 0.0 for i, j in pairs]
 
 
 def cold_weights(rows, costs):
@@ -107,8 +116,9 @@ class TestExactVertex:
             div = gap_divergence(matrix.values).tolist()
             for i1 in groups.winners:
                 _cw_replan(groups, div, i1)
-                _, nonbasic, w = groups.bases[i1]
                 rows = solvers._rows(groups, i1).tolist()
+                w, nonbasic, _ = cold_weights(rows, weight_costs(groups, div))
+                assert groups.bases[i1][1] == w
                 exact = exact_vertex(rows, nonbasic)
                 assert w == [float(x) for x in exact]
                 free += sum(x.denominator > 1 for x in exact)
@@ -140,19 +150,46 @@ class TestExactVertex:
 
 
 class Replans:
-    """The bandit's cw planner, each answer checked against a fresh cache and the q-form."""
+    """The bandit's cw planner, each answer checked against a fresh cache and the q-form.
+
+    Each cold solve's dense tableau is kept beside the planner's sparse
+    columns, and every replan's kept verdict must be the dense rule's:
+    each reduced cost of ``reduced_costs`` below -1e-9, the columns of
+    pairs in no row aside.
+    """
 
     def __init__(self):
-        self.calls = self.warm = self.wide = 0
+        self.calls = self.warm = self.wide = self.rows_only = 0
+        self.dense = {}  # (cache, winner) -> (basic pairs' tableau rows, nonbasic) of the last solve
+
+    def dense_verdict(self, groups, costs, i1):
+        zrows, nonbasic = self.dense[groups, i1]
+        pattern = groups.lp_rows[i1]
+        held = pattern.any(axis=0)
+        n = len(costs)
+        reduced = reduced_costs(zrows, nonbasic, costs)
+        # the column of a pair in no row prices at its own cost, which is 0
+        assert all(x == 0.0 and costs[v] == 0.0 for x, v in zip(reduced, nonbasic) if v < n and not held[v])
+        priced = [x < -1e-9 for x, v in zip(reduced, nonbasic) if v >= n or held[v]]
+        self.rows_only += all(priced) and not all(x < -1e-9 for x in reduced)
+        return all(priced)
 
     def planner(self, groups, div, i1):
+        costs = weight_costs(groups, div)
         kept = groups.bases.get(i1)
+        verdict = kept is not None and self.dense_verdict(groups, costs, i1)
         got = _cw_replan(groups, div, i1)
         self.calls += 1
         warm = kept is not None and groups.bases.get(i1) is kept
+        assert warm == verdict
         self.warm += warm
-        rows, pairs = groups.lp_rows[i1].shape
+        pattern = groups.lp_rows[i1]
+        rows, pairs = pattern.shape
         self.wide += warm and rows > pairs  # a kept tableau of the numpy kernel
+        if not warm:  # solved cold: keep the dense tableau of the same solve
+            nonbasic, zrows = _pivots(np.array(costs), pattern, pattern.sum(axis=1) - 1.0, np.ones(pairs))
+            assert _vertex(pattern.tolist(), nonbasic) == groups.bases[i1][1]
+            self.dense[groups, i1] = zrows, nonbasic
         sets = (groups.sup, groups.inf, groups.losses, groups.winners)
         assert bits(got) == bits(_cw_replan(GroupCache(sets), div, i1))
         _, constant = _cw_lp(GroupCache(sets), div, i1)
@@ -167,25 +204,29 @@ class Replans:
 
 
 # (name, matrix, horizon, whether some replan keeps its basis, whether some
-# kept basis has more rows than pairs); multisol's optimum is never unique
-# on these runs, so each of its replans solves cold
+# kept basis has more rows than pairs, whether some kept basis is strictly
+# optimal only once the columns of pairs in no row are left out); on these
+# runs multisol's optimum is unique only in that sense, when it keeps a basis
 RUNS = [
-    ("sushi-sub6", lambda: sample_submatrix(builtin_dataset("sushi"), 6, 0.02, 3), 1_000, True, True),
-    ("sushi-sub8", lambda: sample_submatrix(builtin_dataset("sushi"), 8, 0.02, 2), 500, True, True),
-    ("gap", lambda: builtin_dataset("gap"), 2_000, True, False),
-    ("multisol", lambda: builtin_dataset("multisol"), 2_000, False, False),
-    ("cyclic", lambda: builtin_dataset("cyclic"), 20_000, True, False),
+    ("sushi-sub6", lambda: sample_submatrix(builtin_dataset("sushi"), 6, 0.02, 3), 1_000, True, True, False),
+    ("sushi-sub8", lambda: sample_submatrix(builtin_dataset("sushi"), 8, 0.02, 2), 500, True, True, True),
+    ("gap", lambda: builtin_dataset("gap"), 2_000, True, False, True),
+    ("multisol", lambda: builtin_dataset("multisol"), 2_000, True, False, True),
+    ("cyclic", lambda: builtin_dataset("cyclic"), 20_000, True, False, True),
 ]
 
 
-@pytest.mark.parametrize("make, horizon, warm, wide", [run[1:] for run in RUNS], ids=[run[0] for run in RUNS])
-def test_every_replan_equals_a_cold_solve(monkeypatch, make, horizon, warm, wide):
+@pytest.mark.parametrize(
+    "make, horizon, warm, wide, rows_only", [run[1:] for run in RUNS], ids=[run[0] for run in RUNS]
+)
+def test_every_replan_equals_a_cold_solve(monkeypatch, make, horizon, warm, wide, rows_only):
     replans = Replans()
     monkeypatch.setattr(bandit, "_cw_lp", replans.planner)
     monkeypatch.setattr(bandit, "_best_plan", replans.best_plan)
     simulate_batch(make(), AlgorithmConfig(variant="cw"), horizon, 3, 1)
     assert (replans.warm > 0) == warm and replans.warm < replans.calls
     assert (replans.wide > 0) == wide
+    assert (replans.rows_only > 0) == rows_only
 
 
 # The same Copeland sets: arm 1 beats 2, 3 and 4, 2 beats 3, 3 beats 4 and 4
@@ -209,8 +250,8 @@ def kept_after_before():
     return sets, groups
 
 
-def reduced_costs(kept, costs):
-    zrows, nonbasic, _ = kept
+def reduced_costs(zrows, nonbasic, costs):
+    """Every nonbasic column's reduced cost, re-priced row by row on the dense tableau."""
     n = len(costs)
     reduced = [costs[v] if v < n else 0.0 for v in nonbasic]
     for v, row in zrows:
@@ -222,14 +263,17 @@ class TestNotStrictlyOptimal:
     def test_a_tie_solves_cold_and_matches_a_fresh_cache(self):
         sets, groups = kept_after_before()
         kept = groups.bases[0]
+        rows = solvers._rows(groups, 0).tolist()
+        w, nonbasic, zrows = cold_weights(rows, weight_costs(groups, divergences(BEFORE)))
+        assert kept[1] == w
         div = divergences(TIED)
         fresh = _cw_replan(GroupCache(sets), div, 0)
         # the kept basis is optimal at TIED's costs, but not strictly, and
         # its vertex is not the one a cold solve reaches
+        costs = weight_costs(groups, div)
+        assert -1e-9 <= max(reduced_costs(zrows, nonbasic, costs)) <= 1e-9
         pairs = [(i, j) for i in range(4) for j in range(i)]
-        costs = [groups.regret[i][j] / div[i][j] for i, j in pairs]
-        assert -1e-9 <= max(reduced_costs(kept, costs)) <= 1e-9
-        assert [wp / div[i][j] for wp, (i, j) in zip(kept[2], pairs)] != fresh[0]
+        assert [wp / div[i][j] for wp, (i, j) in zip(w, pairs)] != fresh[0]
         got = _cw_replan(groups, div, 0)
         assert groups.bases[0] is not kept
         assert bits(got) == bits(fresh)
@@ -275,3 +319,25 @@ class TestTiedPair:
         assert groups.bases[0] is kept
         assert bits(got) == bits(_cw_replan(GroupCache(sets), div, 0))
         assert got[0][2] == 0.0 and div[2][1] == 0.0  # the tied pair, third in pair order
+
+
+class TestPairInNoRow:
+    # arms 1 and 2 are co-winners (one loss each) and 2 beats 1, so the pair
+    # (1, 2) is in no row of arm 1's LP and its regret, and cost, is 0
+    A = {(0, 1): 0.4, (0, 2): 0.7, (0, 3): 0.65, (1, 2): 0.6, (1, 3): 0.35, (2, 3): 0.6}
+    B = {(0, 1): 0.41, (0, 2): 0.71, (0, 3): 0.66, (1, 2): 0.62, (1, 3): 0.36, (2, 3): 0.61}
+    values = staticmethod(TestTiedPair.values)
+
+    def test_a_zero_cost_pair_in_no_row_keeps_the_basis(self):
+        a, b = self.values(self.A), self.values(self.B)
+        sets = _copeland_sets(a)
+        assert _copeland_sets(b) == sets and sets[3] == [0, 1]
+        groups = GroupCache(sets)
+        _cw_replan(groups, gap_divergence(a).tolist(), 0)
+        kept = groups.bases[0]
+        assert not solvers._rows(groups, 0)[:, 0].any() and groups.regret[1][0] == 0.0
+        div = gap_divergence(b).tolist()
+        got = _cw_replan(groups, div, 0)
+        assert groups.bases[0] is kept
+        assert bits(got) == bits(_cw_replan(GroupCache(sets), div, 0))
+        assert got[0][0] == 1.0 / div[1][0]  # w = 1 on the pair in no row
