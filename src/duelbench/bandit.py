@@ -18,16 +18,16 @@ bounds on the smallest N_ij and the smallest gap: a draw only raises a
 count and lowers the gap floor when it writes a smaller gap, so a pass
 on the floors is a pass of every pair, and only a failure takes the
 exact minima and, if they fail too, scans the pairs.  The next plan
-step rewrites only the drawn pairs' divergences and weights, taking
-numpy's log value by value for one pair (``core.gap_divergences``), and drops
-only the cached pieces that read them (``constraints.GroupCache``:
-budgets, plan, and the columns and subproblems of the pair's two arms),
-so an exploring round costs work on the drawn pair's rows and columns
-rather than a K x K rebuild.  A winner's budget is tested against
-(1-tol) ln t by a walk that stops at the first left side below it; that
-short value is kept apart from the exact budgets and fails again until
-the next draw, since the threshold only grows.  A budget that clears is
-walked in full and kept.  The cw plan also keeps each winner's last LP
+step rewrites only the drawn pairs' divergences and weights, with one
+numpy log call (``core.gap_divergences``), and drops only the cached
+pieces that read them (``constraints.GroupCache``: budgets, plan, and
+the columns and subproblems of the pair's two arms), so an exploring
+round costs work on the drawn pair's rows and columns rather than a
+K x K rebuild.  A winner's budget is tested against (1-tol) ln t by a
+walk that stops at the first left side below it; that short value is
+kept apart from the exact budgets and fails again until the next draw
+of a distinct pair, since the threshold only grows.  A budget that
+clears is walked in full and kept.  The cw plan also keeps each winner's last LP
 basis, which no draw drops: in weight form the LP's polytope reads only
 the Copeland sets (``solvers._cw_replan``).  A replan re-prices the kept
 basis one nonbasic column at a time, over that column's nonzero cells,

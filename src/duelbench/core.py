@@ -34,8 +34,6 @@ from .errors import (
 SYMMETRY_TOL = 1e-9  # |mu_ij + mu_ji - 1| allowed in raw input
 SUBMATRIX_ATTEMPT_CAP = 100_000
 _LN2 = math.log(2.0)
-#: gap_divergences takes up to this many logs one value at a time, more in one array call
-_FEW_LOGS = 4
 
 
 def _check_integer(value, name: str, low: int | None = None, high: int | None = None) -> int:
@@ -109,21 +107,16 @@ def gap_divergences(values) -> list:
     1/2 to 0, so 1/2 itself maps to 0.  Exact 0 and 1 (-0.0 included)
     map to ln 2.  Every other entry, out of range or NaN, maps to 0.
 
-    The logs are numpy's: math.log can differ from it in the last bit,
-    and every caller must see numpy's bits.  Up to _FEW_LOGS of them are
-    taken one value at a time, which costs less than building an array;
-    more, as from a whole matrix, in one array call.  numpy gives a value
-    the same bits either way.  The products and the sum are IEEE
-    operations, so Python floats give the bits numpy would.
+    The logs come from one numpy call over [2p...] + [2(1-p)...]: numpy's
+    log can differ from math.log in the last bit, and every caller must
+    see numpy's bits.  The products and the sum are IEEE operations, so
+    Python floats give the bits numpy would.
     """
     inner = [p for p in values if 0.0 < p < 1.0]
     div = []
     if inner:
         twice = [2.0 * p for p in inner] + [2.0 * (1.0 - p) for p in inner]
-        if len(twice) <= _FEW_LOGS:
-            logs = [float(np.log(x)) for x in twice]
-        else:
-            logs = np.log(np.array(twice, dtype=float)).tolist()
+        logs = np.log(np.array(twice, dtype=float)).tolist()
         div = [p * a + (1.0 - p) * b for p, a, b in zip(inner, logs, logs[len(inner) :])]
     if len(div) < len(values):
         rest = iter(div)
