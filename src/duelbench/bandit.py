@@ -16,14 +16,23 @@ lists of N_ij and |muhat_ij - 1/2|, which the guard scan reads, and
 marks the pair as drawn.  The guard first tests cached floors, lower
 bounds on the smallest N_ij and the smallest gap: a draw only raises a
 count and lowers the gap floor when it writes a smaller gap, so a pass
-on the floors is a pass of every pair, and only a failure takes the
-exact minima and, if they fail too, scans the pairs.  The next plan
-step rewrites only the drawn pairs' divergences and weights, with one
-numpy log call (``core.gap_divergences``), and drops only the cached
-pieces that read them (``constraints.GroupCache``: budgets, plan, and
-the columns and subproblems of the pair's two arms), so an exploring
-round costs work on the drawn pair's rows and columns rather than a
-K x K rebuild.  A winner's budget is tested against (1-tol) ln t by a
+on the floors is a pass of every pair.  Only a failure scans the pairs,
+and the scan resumes where the last one stopped, under the level
+ceil(alpha sqrt(ln t)) it ran under: an undrawn pair keeps its count and
+gap, an integer count passes alpha sqrt(ln t) exactly when it reaches
+that level, and beta / ln ln t only falls as t grows, so every pair
+before the stop still passes.  A draw of an earlier pair moves the stop
+back to it, and a new level restarts the scan at the first pair.  The
+exact minima are taken again only when a scan passes every pair.
+
+The next plan step rewrites only the drawn pairs' divergences and
+weights, with one numpy log call (``core.gap_divergences``), and drops
+only the cached pieces that read them (``constraints.GroupCache``:
+budgets, plan, and the columns and subproblems of the pair's two arms),
+so an exploring round costs work on the drawn pair's rows and columns
+rather than a K x K rebuild.  The plan is kept as its nonzero rates
+alone, (pair index, rate) entries, and the step tests only those
+against N / ln t.  A winner's budget is tested against (1-tol) ln t by a
 walk that stops at the first left side below it; that short value is
 kept apart from the exact budgets and fails again until the next draw
 of a distinct pair, since the threshold only grows.  A budget that
@@ -57,8 +66,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
-from math import inf, log, sqrt
+from math import ceil, inf, log, sqrt
 
 import numpy as np
 
@@ -133,6 +141,8 @@ class RmedState:
         "_n",
         "_gap",
         "_floor",
+        "_stop",
+        "_level",
         "_touched",
         "_weights",
         "_div",
@@ -174,6 +184,8 @@ class RmedState:
         self._n = [counts[i][j] for i, j in self._pairs]
         self._gap = [abs(muhat[i][j] - 0.5) for i, j in self._pairs]
         self._floor = (min(self._n), min(self._gap))  # lower bounds on both minima
+        # where the last guard scan stopped, and the count level it ran under
+        self._stop, self._level = 0, None
         self._touched = set()  # indices of the pairs drawn since the last _update
 
     def _update(self):
@@ -223,12 +235,12 @@ class RmedState:
         return cached
 
     def _planned(self, variant: str):
-        """(winner, rates, indices of the nonzero rates) of the argmin-winner plan."""
+        """(winner, [(pair index, rate) per nonzero rate]) of the argmin-winner plan."""
         groups = self._groups
         if groups.plan is None:
             planner = _cw_lp if variant == "cw" else _ecw_plan
-            ihat, rates, _ = _best_plan(planner, groups, self._div)
-            groups.plan = ihat, rates, list(compress(range(len(rates)), rates))
+            ihat, entries, _ = _best_plan(planner, groups, self._div)
+            groups.plan = ihat, entries
         return groups.plan
 
 
@@ -241,8 +253,15 @@ def _first_guarded(state: RmedState, config: AlgorithmConfig):
     """First lexicographic pair failing a guard, or None.
 
     Every pair passes when the floors, lower bounds on min(_n) and
-    min(_gap), pass; only when they do not are the exact minima taken,
-    and the pairs scanned only when those fail too.
+    min(_gap), pass.  When they do not, the pairs are scanned from where
+    the last scan stopped, if it ran under the same count level
+    ceil(alpha sqrt(ln t)), and from the first pair otherwise.  That is
+    exact: every pair before the stop passed then, and still does unless
+    it was drawn since, which moves the stop back to it.  Its count is
+    unchanged and an integer count passes alpha sqrt(ln t) exactly when
+    it reaches the level, and its gap is unchanged while beta / ln ln t
+    only falls as t grows.  A scan that passes every pair retakes the
+    floors as the exact minima.
     """
     t = state.t
     need = _count_need(config.alpha, t)
@@ -251,12 +270,16 @@ def _first_guarded(state: RmedState, config: AlgorithmConfig):
     if low >= need and close >= near:
         return None
     n, gap = state._n, state._gap
-    low, close = state._floor = (min(n), min(gap))
-    if low >= need and close >= near:
-        return None
-    for p, count in enumerate(n):
-        if count < need or gap[p] < near:
+    level = ceil(need)
+    start = state._stop if level == state._level else 0
+    state._level = level
+    for p in range(start, len(n)):
+        if n[p] < level or gap[p] < near:
+            state._stop = p
             return state._pairs[p]
+    state._stop = len(n)
+    state._floor = (min(n), min(gap))
+    return None
 
 
 def _guard_verdict(state: RmedState, config: AlgorithmConfig):
@@ -317,10 +340,9 @@ def _plan_step(state: RmedState, config: AlgorithmConfig):
     if ihat is not None:
         candidates = {(ihat, ihat)}
     else:
-        ihat, rates, planned = state._planned(config.variant)
-        # a zero rate never exceeds N/ln t
+        ihat, entries = state._planned(config.variant)
         n, pairs = state._n, state._pairs
-        candidates = {pairs[p] for p in planned if rates[p] > n[p] / logt}
+        candidates = {pairs[p] for p, rate in entries if rate > n[p] / logt}
         candidates.add((ihat, ihat))
     state.ihat = ihat + 1
 
@@ -381,6 +403,8 @@ def update_and_plan(state: RmedState, config: AlgorithmConfig, pair, outcome) ->
         gap = state._gap[p] = abs(mu - 0.5)
         if gap < state._floor[1]:
             state._floor = (state._floor[0], gap)
+        if p < state._stop:  # the next guard scan must read this pair again
+            state._stop = p
         state._touched.add(p)
     else:
         state.counts[l][l] += 1

@@ -15,7 +15,7 @@ import sys
 
 from . import core, harness, solvers
 from .bandit import DEFAULT_ALPHA, DEFAULT_BETA, VARIANTS, AlgorithmConfig
-from .errors import DuelbenchError, TooLargeError
+from .errors import DuelbenchError, TooLargeError, ValidationError
 
 
 def _sig3(x: float) -> str:
@@ -41,6 +41,8 @@ def _load(args) -> tuple:
 
 
 def cmd_bounds(args) -> int:
+    if args.rates and not args.json:
+        raise ValidationError("--rates needs --json")
     matrix, label = _load(args)
     summary = core.copeland_summary(matrix)
     winners = sorted(summary.winners)

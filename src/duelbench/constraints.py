@@ -278,7 +278,7 @@ class GroupCache:
         self.bases = {}
         self.budgets = {}  # i1 -> min_lhs of i1's family at the bandit's weights
         self.short = {}  # i1 -> a left side of i1's family below the floor its walk stopped at
-        self.plan = None  # (winner, rates, indices of the nonzero rates) of the argmin plan
+        self.plan = None  # (winner, [(pair index, rate) per nonzero rate]) of the argmin plan
 
     def drop(self, l: int, m: int) -> None:
         """Forget the budgets, the plan, and the columns and pieces of l and m: all read (l, m)."""

@@ -332,19 +332,23 @@ def _list_pivots(c, rows, b, u):
 
 
 def _ecw_plan(groups, div, i1):
-    """Closed-form relaxed rates of winner i1: (one rate per pair in iter_pairs order, constant).
+    """Closed-form relaxed rates of winner i1: ([(pair index, rate) per nonzero rate], constant).
 
     ``groups`` is a GroupCache for ``div``, the pairwise gap divergence;
     tied pairs (div 0) never appear in its sets and receive no rate.  The
-    pins q_{i1 j} = 1 / div are summed first, in the order of i1's
-    inferiors, then each rival's subproblem, rivals ascending, from the
-    (pair, rate, regret per unit of ln t) entries the cache keeps.
+    pins q_{i1 j} = 1 / div come first, in the order of i1's inferiors,
+    then each rival's subproblem, rivals ascending, from the (pair, rate,
+    regret per unit of ln t) entries the cache keeps; the constant sums
+    them in that order.  No pair appears twice: pins touch i1, and each
+    subproblem only sets the losing side of its rival.
     """
     regret = groups.regret
-    q = [0.0] * pair_count(len(div))
+    entries = []
     constant = 0.0
+    row = i1 * (i1 - 1) // 2  # pair_index(i1, j) for j < i1
     for j in groups.inf[i1]:
-        rate = q[pair_index(i1, j)] = 1.0 / div[i1][j]
+        rate = 1.0 / div[i1][j]
+        entries.append((row + j if j < i1 else j * (j - 1) // 2 + i1, rate))
         constant += regret[i1][j] * rate
     for i2, cand, need in groups.ecw_rivals(i1):
         per_winner = groups.pieces.setdefault(i2, {})
@@ -354,12 +358,9 @@ def _ecw_plan(groups, div, i1):
             rates = [(j, yj / div[j][i2]) for j, yj in zip(cand, y) if yj > 0.0]
             piece = per_winner[i1] = [(pair_index(j, i2), r, regret[j][i2] * r) for j, r in rates]
         for p, rate, cost in piece:
-            # pair roles are disjoint by construction: pins touch i1,
-            # and each subproblem only sets the losing side of i2
-            assert q[p] == 0.0
-            q[p] = rate
+            entries.append((p, rate))
             constant += cost
-    return q, constant
+    return entries, constant
 
 
 def _minimal_sets(masks):
@@ -469,6 +470,9 @@ def _rows(groups, i1):
 def _cw_replan(groups, div, i1):
     """_cw_lp's LP in weights w_p = d_p q_p, from the basis kept by the last solve.
 
+    Returns ([(pair index, rate) per nonzero rate, in iter_pairs order],
+    constant), the shape of _ecw_plan's plan.
+
     Its polytope, pattern.w >= 1 and 0 <= w <= 1, reads only the Copeland
     sets; the divergences move only the costs c_p / d_p.  The kept basis
     is re-priced column by column and kept if every reduced cost is below
@@ -501,8 +505,9 @@ def _cw_replan(groups, div, i1):
         nonbasic, zrows = _pivots(np.array(costs), rows, rows.sum(axis=1) - 1.0, np.ones(n))
         w = _vertex(rows.tolist(), nonbasic)
         groups.bases[i1] = _priced_columns(rows, nonbasic, zrows), w
-    q = [wp / d if d > 0.0 else 0.0 for wp, d in zip(w, divs)]
-    return q, math.fsum(map(mul, regret, q))
+    entries = [(p, wp / d) for p, (wp, d) in enumerate(zip(w, divs)) if wp and d > 0.0]
+    # fsum rounds the exact sum once, so the zero rates left out change no bit
+    return entries, math.fsum([regret[p] * rate for p, rate in entries])
 
 
 def _priced_columns(rows, nonbasic, zrows):
@@ -585,9 +590,11 @@ def _best_plan(planner, groups, div):
     """(winner, rates, constant) of the cache's winner whose plan has the smallest constant.
 
     ``planner`` is _ecw_plan, or for the exact LP _cw_lp (the q-form, for
-    _optimal) or _cw_replan (the weight form, for the bandit).  Ties go to
-    the winner listed first, so an ascending list resolves them to the
-    smallest arm.
+    _optimal) or _cw_replan (the weight form, for the bandit).  The rates
+    come back as the planner gives them: one per pair from _cw_lp, and
+    (pair index, rate) entries of the nonzero rates from the other two.
+    Ties go to the winner listed first, so an ascending list resolves
+    them to the smallest arm.
     """
     best = None
     for i1 in groups.winners:
@@ -612,6 +619,10 @@ def _optimal(matrix: PreferenceMatrix, sets, variant: str, k_max=DEFAULT_K_MAX) 
         planner, exactness = _ecw_plan, "ecw_closed_form"
     div = gap_divergence(matrix.values).tolist()
     winner, rates, constant = _best_plan(planner, GroupCache(sets), div)
+    if variant != "cw":  # the closed form gives its nonzero rates only
+        entries, rates = rates, [0.0] * pair_count(matrix.k)
+        for p, rate in entries:
+            rates[p] = rate
     return OptimalExploration(
         winner=winner + 1,
         rates=RateVector(matrix.k, rates),

@@ -16,8 +16,11 @@ for their draw-by-draw upkeep.
 ``simplex_dense`` is the simplex on the full tableau, the reference for
 both kernels of the condensed one.  ``gap_divergence_numpy`` is the
 divergence in numpy array operations, the reference for
-``core.gap_divergences``; ``first_guarded_scan`` the guard as a scan
-over the tallies, the reference for the bandit's floors.
+``core.gap_divergences``; ``first_guarded_scan`` the guard as a full
+lexicographic scan over the tallies, the reference for the bandit's
+floors and its resumed scan.  ``ecw_plan_dense`` is the relaxed plan as
+one rate per pair, summed with no cached piece, the reference for the
+(pair index, rate) entries of ``solvers._ecw_plan``.
 """
 
 import copy
@@ -34,8 +37,8 @@ from duelbench.bandit import (
     select_pair,
     update_and_plan,
 )
-from duelbench.constraints import _iter_cw_descriptors, pair_count, pair_index
-from duelbench.core import _copeland_sets, _regret_nums, gap_divergence
+from duelbench.constraints import _ecw_rivals, _iter_cw_descriptors, pair_count, pair_index
+from duelbench.core import _copeland_sets, _regret_nums, gap_divergence, regret_table
 from duelbench.errors import NumericalInstabilityError, ValidationError
 from duelbench.harness import _check_preconditions, checkpoint_grid
 from duelbench.solvers import _minimal_sets, simplex_solve
@@ -66,6 +69,36 @@ def first_guarded_scan(state, config):
             if state.counts[i][j] < need or abs(state.muhat[i][j] - 0.5) < near:
                 return i, j
     return None
+
+
+def ecw_plan_dense(sets, div, i1):
+    """(one rate per pair in lexicographic order, pair indices in the order set, constant).
+
+    The closed-form relaxed plan of 0-based winner i1, for Copeland
+    ``sets`` and divergences ``div``: the pins q_{i1 j} = 1 / d in the
+    order of i1's inferiors, then each relaxed rival's prefix block,
+    rivals ascending, with the constant summed in the same order.  Every
+    piece is solved afresh, with ``solvers._prefix_solution``.
+    """
+    sup, inf_, losses, _ = sets
+    regret = regret_table(losses).tolist()
+    q = [0.0] * pair_count(len(div))
+    order = []
+    constant = 0.0
+    for j in inf_[i1]:
+        p = pair_index(i1, j)
+        q[p] = 1.0 / div[i1][j]
+        order.append(p)
+        constant += regret[i1][j] * q[p]
+    for i2, cand, need in _ecw_rivals(sup, losses, i1):
+        y, _ = solvers._prefix_solution([regret[j][i2] / div[j][i2] for j in cand], len(cand) - need)
+        for j, yj in zip(cand, y):
+            if yj > 0.0:
+                p = pair_index(j, i2)
+                q[p] = yj / div[j][i2]
+                order.append(p)
+                constant += regret[j][i2] * q[p]
+    return q, order, constant
 
 
 def sign_sets(values):

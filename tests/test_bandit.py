@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duelbench import (
     AlgorithmConfig,
@@ -14,10 +16,13 @@ from duelbench import (
     select_pair,
     update_and_plan,
 )
-from duelbench import bandit, builtin_dataset, simulate_batch
+from duelbench import bandit, builtin_dataset, harness, simulate_batch
 from duelbench.bandit import BOOTSTRAP_ROUNDS, check_size
 from duelbench.constraints import FEASIBILITY_TOL, GroupCache, min_lhs_cw, min_lhs_ecw
 from duelbench.core import sample_submatrix
+from conftest import random_matrix
+from oracles import first_guarded_scan
+from test_self_pairs import converged_state, set_pair
 
 
 def exploit_ready_state(matrix, t=2000, n=1000):
@@ -413,3 +418,120 @@ class TestEarlyStopBudget:
         monkeypatch.setattr(bandit, "_confirmed_winner", checked)
         simulate_batch(make(), AlgorithmConfig(variant=variant), horizon, 1, 3)
         assert seen["stopped"] > 0 and seen["calls"] > seen["stopped"]
+
+
+class TestResumedGuardScan:
+    """The guard scan resumes where the last one stopped; its verdict is a full scan's.
+
+    ``_first_guarded`` scans from the pair it last stopped at while the
+    count level ceil(alpha sqrt(ln t)) is unchanged, a draw of an earlier
+    pair moves that stop back, and ``_refresh`` resets it.  At every guard
+    call of a run the verdict must equal ``oracles.first_guarded_scan``,
+    a lexicographic scan of the tallies, and the floors must bound the
+    minima they stand for.
+    """
+
+    # (name, matrix, config, horizon, rounds at least that advance_self_pairs
+    # applies in one step): the cyclic run crosses its self-pair stretches
+    RUNS = [
+        ("ecw-sushi", lambda: builtin_dataset("sushi"), AlgorithmConfig(), 3_000, 0),
+        ("cw-sushi6", lambda: sample_submatrix(builtin_dataset("sushi"), 6, 0.02, 3), AlgorithmConfig(variant="cw"), 1_000, 0),
+        ("ecw-cyclic", lambda: builtin_dataset("cyclic"), AlgorithmConfig(), 100_000, 90_000),
+        ("beta0", lambda: builtin_dataset("sushi"), AlgorithmConfig(beta=0.0), 3_000, 0),
+        ("alpha6", lambda: builtin_dataset("sushi"), AlgorithmConfig(alpha=6.0), 3_000, 0),
+    ]
+
+    @staticmethod
+    def checked_run(monkeypatch, matrix, config, horizon, seed):
+        """Run the harness's loop with every guard verdict checked; returns the counts seen."""
+        original = bandit._first_guarded
+        seen = {"calls": 0, "scans": 0, "resumed": 0, "restarted": 0, "skipped": 0}
+
+        def checked(state, cfg):
+            stop, level = state._stop, state._level
+            low, close = state._floor
+            need = bandit._count_need(cfg.alpha, state.t)
+            near = math.inf if state.t <= BOOTSTRAP_ROUNDS else cfg.beta / math.log(math.log(state.t))
+            got = original(state, cfg)
+            assert got == first_guarded_scan(state, cfg)
+            assert state._floor[0] <= min(state._n) and state._floor[1] <= min(state._gap)
+            seen["calls"] += 1
+            if not (low >= need and close >= near):
+                seen["scans"] += 1
+                seen["resumed"] += stop > 0 and level == state._level
+                seen["restarted"] += stop > 0 and level != state._level
+            return got
+
+        advance = harness.advance_self_pairs
+
+        def counted(state, cfg, last):
+            applied = advance(state, cfg, last)
+            seen["skipped"] += applied
+            return applied
+
+        monkeypatch.setattr(bandit, "_first_guarded", checked)
+        monkeypatch.setattr(harness, "advance_self_pairs", counted)
+        harness._run_single(matrix, config, horizon, seed)
+        return seen
+
+    @pytest.mark.parametrize("make, config, horizon, skipped", [run[1:] for run in RUNS], ids=[run[0] for run in RUNS])
+    def test_every_verdict_equals_a_full_scan(self, monkeypatch, make, config, horizon, skipped):
+        seen = self.checked_run(monkeypatch, make(), config, horizon, 0)
+        assert seen["resumed"] > 0 and seen["restarted"] > 0
+        assert seen["calls"] > seen["scans"]  # the floors pass on some rounds
+        assert seen["skipped"] >= skipped
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        k=st.integers(2, 6),
+        matrix_seed=st.integers(0, 2**32 - 1),
+        run_seed=st.integers(0, 2**32 - 1),
+        variant=st.sampled_from(["ecw", "cw"]),
+        alpha=st.floats(0.5, 6.0),
+        beta=st.floats(0.0, 0.2),
+        horizon=st.integers(1, 3_000),
+    )
+    def test_random_matrices(self, k, matrix_seed, run_seed, variant, alpha, beta, horizon):
+        matrix = random_matrix(np.random.default_rng(matrix_seed), k)
+        if variant == "cw":
+            horizon = min(horizon, 1_000)  # an exact LP per replan
+        config = AlgorithmConfig(variant=variant, alpha=alpha, beta=beta)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.checked_run(monkeypatch, matrix, config, horizon, run_seed)
+
+    # cyclic at t = 2000 with every pair drawn 1000 times: the count level is
+    # ceil(3 sqrt(ln 2000)) = 9 and the near-tie band 0.01 / ln ln t ~ 0.0049
+
+    def stopped_at_last_pair(self, cyclic):
+        """A state whose guard scan stopped at (4, 3), the last pair, drawn 5 times."""
+        cfg = AlgorithmConfig()
+        state = converged_state(cyclic)
+        set_pair(state, 3, 2, 5, cyclic.values[3, 2])
+        assert bandit._first_guarded(state, cfg) == (3, 2)
+        assert state._stop == 5
+        return state, cfg
+
+    def test_a_draw_before_the_stop_moves_it_back(self, cyclic):
+        state, cfg = self.stopped_at_last_pair(cyclic)
+        state.wins[1][0], state.wins[0][1], state.muhat[1][0], state.muhat[0][1] = 494, 506, 0.494, 0.506
+        state._n[0], state._gap[0] = 1000, abs(0.494 - 0.5)  # as a refresh would, but the stop kept
+        assert bandit._first_guarded(state, cfg) == (3, 2) == first_guarded_scan(state, cfg)  # (2, 1) is 0.006 from a tie
+        random = AlgorithmConfig(variant="random")  # accepts any pair, never plans
+        for _ in range(3):  # three wins of arm 2 take it to 497/1003, inside the band
+            update_and_plan(state, random, (2, 1), 1)
+        assert state._stop == 0
+        assert bandit._first_guarded(state, cfg) == (1, 0) == first_guarded_scan(state, cfg)
+
+    def test_a_new_level_restarts_the_scan(self, cyclic):
+        state, cfg = self.stopped_at_last_pair(cyclic)
+        state.counts[1][0] = state.counts[0][1] = state._n[0] = 9  # passes level 9, as a refresh would set it
+        assert bandit._first_guarded(state, cfg) == (3, 2)
+        state.t = 9_000  # 3 sqrt(ln 9000) > 9: the level is 10
+        assert bandit._first_guarded(state, cfg) == (1, 0) == first_guarded_scan(state, cfg)
+
+    def test_refresh_resets_the_stop(self, cyclic):
+        state, cfg = self.stopped_at_last_pair(cyclic)
+        state.counts[1][0] = state.counts[0][1] = 5
+        state._refresh()
+        assert state._stop == 0
+        assert bandit._first_guarded(state, cfg) == (1, 0) == first_guarded_scan(state, cfg)

@@ -87,6 +87,12 @@ class TestBounds:
         payload = json.loads(out)
         assert payload["lambda_tilde_rates"]["2-1"] == pytest.approx(49.6635, abs=1e-3)
 
+    @pytest.mark.parametrize("source", [["--dataset", "cyclic"], ["--input", "/no/such/file.csv"]], ids=["dataset", "missing-input"])
+    def test_rates_without_json_is_rejected_before_any_output(self, capsys, source):
+        code, out, err = run_cli(capsys, "bounds", *source, "--rates")
+        assert (code, out) == (2, "")
+        assert "--rates needs --json" in err
+
     def test_multisol_flags_equality(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--dataset", "multisol")
         assert code == 0

@@ -29,7 +29,7 @@ from duelbench import bandit
 from duelbench.harness import _run_single
 from duelbench.solvers import _ecw_plan
 from conftest import random_matrix
-from oracles import assert_caches_match_a_rebuild, run_rebuilt
+from oracles import assert_caches_match_a_rebuild, ecw_plan_dense, run_rebuilt
 from test_self_pairs import snapshot
 
 
@@ -136,8 +136,8 @@ def regular_tournament(k):
 
 
 def plan_bits(plan):
-    rates, constant = plan
-    return [x.hex() for x in rates], constant.hex()
+    entries, constant = plan
+    return [(p, x.hex()) for p, x in entries], constant.hex()
 
 
 class TestGroupCacheDrop:
@@ -175,6 +175,41 @@ class TestGroupCacheDrop:
         for winner in groups.winners:
             fresh = GroupCache(sets)
             assert plan_bits(_ecw_plan(groups, div, winner)) == plan_bits(_ecw_plan(fresh, div, winner))
+
+
+class TestSparsePlan:
+    """At every replan, _ecw_plan's entries are the nonzero rates of the dense plan, in order.
+
+    The bandit keeps a plan as (pair index, rate) entries of its nonzero
+    rates, in the order the constant sums them.  The reference sums one
+    rate per pair with no cached piece (``oracles.ecw_plan_dense``).  The
+    pair indices must not repeat: the pins touch the winner, and each
+    rival's piece only the pairs it loses.
+    """
+
+    RUNS = [("sushi", lambda: builtin_dataset("sushi")), ("tournament7", lambda: regular_tournament(7))]
+
+    @pytest.mark.parametrize("make", [run[1] for run in RUNS], ids=[run[0] for run in RUNS])
+    def test_every_plan_is_the_dense_plans_nonzero_rates(self, monkeypatch, make):
+        # both runs plan for relaxed rivals at some replans, so pieces follow the pins
+        original = bandit._ecw_plan
+        seen = {"calls": 0, "pieces": 0}
+
+        def checked(groups, div, i1):
+            entries, constant = original(groups, div, i1)
+            sets = (groups.sup, groups.inf, groups.losses, groups.winners)
+            q, order, expected = ecw_plan_dense(sets, div, i1)
+            assert len(set(order)) == len(order)
+            assert [p for p, x in enumerate(q) if x] == sorted(order)
+            assert entries == [(p, q[p]) for p in order]
+            assert constant.hex() == expected.hex()
+            seen["calls"] += 1
+            seen["pieces"] += len(entries) > len(groups.inf[i1])
+            return entries, constant
+
+        monkeypatch.setattr(bandit, "_ecw_plan", checked)
+        simulate_batch(make(), AlgorithmConfig(variant="ecw"), 3_000, runs=1, master_seed=0)
+        assert seen["calls"] > 100 and seen["pieces"] > 0
 
 
 def bits(rows):

@@ -28,8 +28,8 @@ from conftest import random_matrix
 
 
 def bits(plan):
-    rates, constant = plan
-    return [x.hex() for x in rates], constant.hex()
+    entries, constant = plan
+    return [(p, x.hex()) for p, x in entries], constant.hex()
 
 
 def weight_costs(groups, div):
@@ -318,7 +318,7 @@ class TestTiedPair:
         got = _cw_replan(groups, div, 0)
         assert groups.bases[0] is kept
         assert bits(got) == bits(_cw_replan(GroupCache(sets), div, 0))
-        assert got[0][2] == 0.0 and div[2][1] == 0.0  # the tied pair, third in pair order
+        assert 2 not in dict(got[0]) and div[2][1] == 0.0  # the tied pair, third in pair order, has no rate
 
 
 class TestPairInNoRow:
@@ -340,4 +340,4 @@ class TestPairInNoRow:
         got = _cw_replan(groups, div, 0)
         assert groups.bases[0] is kept
         assert bits(got) == bits(_cw_replan(GroupCache(sets), div, 0))
-        assert got[0][0] == 1.0 / div[1][0]  # w = 1 on the pair in no row
+        assert dict(got[0])[0] == 1.0 / div[1][0]  # w = 1 on the pair in no row
