@@ -53,7 +53,8 @@ changes side of 1/2 changes those sets, and then only the cache is
 replaced: the counts, gaps, divergences and weights are per-pair values
 the draw has already rewritten.  The K x K caches are built once, with
 the state.  Rounds that change nothing but t (self-pair draws) reuse the
-plan, and the guard runs once per round.
+plan.  The guard keeps no verdict: ``select_pair`` and ``update_and_plan``
+each ask it, and with no draw in between it answers the same.
 
 Once the loop has converged to exploiting a candidate, the rounds until
 the next event are identical self-pair draws; ``advance_self_pairs``
@@ -147,7 +148,6 @@ class RmedState:
         "_weights",
         "_div",
         "_groups",
-        "_guard",
     )
 
     def __init__(self, k: int):
@@ -162,7 +162,6 @@ class RmedState:
         self.ln_next = set()
         self.cursor = 0
         self.ihat = None  # 1-based once a candidate has been identified
-        self._guard = None  # (round, _first_guarded verdict) from select_pair
         self._refresh()
 
     # -- planning caches ----------------------------------------------------
@@ -246,7 +245,7 @@ class RmedState:
 
 def _count_need(alpha: float, t: int) -> float:
     """Draws of each pair the count guard asks for at round t: alpha*sqrt(ln t)."""
-    return alpha * sqrt(log(t)) if t > 1 else 0.0
+    return alpha * sqrt(log(t))
 
 
 def _first_guarded(state: RmedState, config: AlgorithmConfig):
@@ -261,11 +260,13 @@ def _first_guarded(state: RmedState, config: AlgorithmConfig):
     unchanged and an integer count passes alpha sqrt(ln t) exactly when
     it reaches the level, and its gap is unchanged while beta / ln ln t
     only falls as t grows.  A scan that passes every pair retakes the
-    floors as the exact minima.
+    floors as the exact minima.  A repeat call with no draw in between
+    changes nothing: the floors pass again, or the stop pair still fails.
     """
     t = state.t
-    need = _count_need(config.alpha, t)
-    near = inf if t <= BOOTSTRAP_ROUNDS else config.beta / log(log(t))
+    logt = log(t)  # taken once for both thresholds; need is _count_need's
+    need = config.alpha * sqrt(logt)
+    near = inf if t <= BOOTSTRAP_ROUNDS else config.beta / log(logt)
     low, close = state._floor
     if low >= need and close >= near:
         return None
@@ -282,19 +283,9 @@ def _first_guarded(state: RmedState, config: AlgorithmConfig):
     return None
 
 
-def _guard_verdict(state: RmedState, config: AlgorithmConfig):
-    """_first_guarded for round state.t, recorded so the round scans once."""
-    recorded = state._guard
-    if recorded is not None and recorded[0] == state.t:
-        return recorded[1]
-    guarded = _first_guarded(state, config)
-    state._guard = (state.t, guarded)
-    return guarded
-
-
 def select_pair(state: RmedState, config: AlgorithmConfig):
     """Next pair to draw, 1-based.  Guard rounds preempt the loop."""
-    guarded = _guard_verdict(state, config)
+    guarded = _first_guarded(state, config)
     if guarded is not None:
         return guarded[0] + 1, guarded[1] + 1
     i, j = state.lc[state.cursor]
@@ -376,13 +367,11 @@ def update_and_plan(state: RmedState, config: AlgorithmConfig, pair, outcome) ->
         raise ValidationError(f"pair must be two arms in order, got {pair!r}") from None
     l = _check_integer(first, "first arm of the pair", 1, state.k) - 1
     m = _check_integer(second, "second arm of the pair", 1, state.k) - 1
-    # phase is decided on the pre-update state, exactly as select_pair saw it;
-    # its verdict is reused only if it was recorded for this round
-    loop_round = config.variant != "random" and _guard_verdict(state, config) is None
+    # phase is decided on the pre-update state, as select_pair saw it
+    loop_round = config.variant != "random" and _first_guarded(state, config) is None
     if loop_round and {l, m} != set(state.lc[state.cursor]):
         i, j = state.lc[state.cursor]
         raise ValidationError(f"loop round draws ({i + 1},{j + 1}), got {pair}")
-    state._guard = None
 
     if l != m:
         if outcome not in (0, 1, True, False):
@@ -456,7 +445,7 @@ def advance_self_pairs(state: RmedState, config: AlgorithmConfig, last_round: in
     ):
         return 0
     h, other = state.lc[0]
-    if h != other or _guard_verdict(state, config) is not None:
+    if h != other or _first_guarded(state, config) is not None:
         return 0
     if _confirmed_winner(state, config, log(t)) != h:
         return 0

@@ -31,10 +31,11 @@ in rates q (the q-form, ``_cw_lp``, through ``simplex_solve``); the
 bandit's replans in weights w_p = d_p q_p (the weight form,
 ``_cw_replan``), re-pricing the basis of the last solve, which the cache
 keeps per winner as the nonzero cells of its nonbasic columns, with its
-exact vertex.  Both solve cold by _pivots,
-which picks the kernel by the LP's shape.
-The LP is gated at K_max arms because the enumeration grows
-exponentially; the relaxed program has no size limit.
+exact vertex.  Both solve cold by _pivots, which picks the kernel by the
+LP's shape.  Every planner, the closed form's too, returns only its
+nonzero rates, as (pair index, rate) entries, and only ``_optimal`` makes
+them a dense ``RateVector``.  The LP is gated at K_max arms because the
+enumeration grows exponentially; the relaxed program has no size limit.
 """
 
 from __future__ import annotations
@@ -175,6 +176,10 @@ def simplex_solve(costs, constraints, upper_bounds):
     a zero cell differs, which no comparison, ratio or u - z can see: both
     give the same pivots, x and value.
 
+    rows . u and c . x are summed in a fixed order, not by BLAS, whose
+    kernel and order depend on the CPU; c . x left to right, as sum() does
+    only before Python 3.12.
+
     Returns (x, value) with x an optimal vertex.  Raises
     NumericalInstabilityError past PIVOTS_PER_ROW pivots per tableau row.
     """
@@ -196,7 +201,7 @@ def simplex_solve(costs, constraints, upper_bounds):
         raise ValidationError("constraint coefficients must be finite")
     if (rows < 0).any():
         raise ValidationError("constraint coefficients must be nonnegative")
-    b = rows @ u - 1.0
+    b = (rows * u).sum(axis=1) - 1.0
     if (b < -1e-9).any():
         bad = int(np.argmin(b))
         raise ValidationError(f"constraint row {bad} is violated even at the box point")
@@ -206,7 +211,10 @@ def simplex_solve(costs, constraints, upper_bounds):
     for k, row in _pivots(c, rows, b, u)[1]:
         z[k] = row[n]
     x = np.clip(u - z, 0.0, u)
-    return x, float(c @ x)
+    value = 0.0
+    for cost, xk in zip(c.tolist(), x.tolist()):
+        value += cost * xk
+    return x, value
 
 
 def _pivots(c, rows, b, u):
@@ -447,16 +455,17 @@ def _lp_pattern(sup, inf_sets, losses, i1):
 
 
 def _cw_lp(groups, div, i1):
-    """Exact full-family LP of winner i1: (one rate per pair in iter_pairs order, constant).
+    """Exact full-family LP of winner i1: ([(pair index, rate) per nonzero rate], constant).
 
     ``groups`` is a GroupCache, which keeps i1's row pattern; each call
     scales it by the divergences ``div`` and solves the LP over those rows.
+    The entries are in iter_pairs order, and the constant is simplex_solve's.
     """
     pairs, regret = groups.pair_table()
     divs = [div[i][j] for i, j in pairs]
     u = np.array([1.0 / d if d > 0.0 else 0.0 for d in divs])
     x, value = simplex_solve(np.array(regret), _rows(groups, i1) * divs, u)
-    return x.tolist(), value
+    return [(p, rate) for p, rate in enumerate(x.tolist()) if rate], value
 
 
 def _rows(groups, i1):
@@ -471,7 +480,7 @@ def _cw_replan(groups, div, i1):
     """_cw_lp's LP in weights w_p = d_p q_p, from the basis kept by the last solve.
 
     Returns ([(pair index, rate) per nonzero rate, in iter_pairs order],
-    constant), the shape of _ecw_plan's plan.
+    constant), like every planner.
 
     Its polytope, pattern.w >= 1 and 0 <= w <= 1, reads only the Copeland
     sets; the divergences move only the costs c_p / d_p.  The kept basis
@@ -587,14 +596,13 @@ def _vertex(rows, nonbasic):
 
 
 def _best_plan(planner, groups, div):
-    """(winner, rates, constant) of the cache's winner whose plan has the smallest constant.
+    """(winner, entries, constant) of the cache's winner whose plan has the smallest constant.
 
     ``planner`` is _ecw_plan, or for the exact LP _cw_lp (the q-form, for
-    _optimal) or _cw_replan (the weight form, for the bandit).  The rates
-    come back as the planner gives them: one per pair from _cw_lp, and
-    (pair index, rate) entries of the nonzero rates from the other two.
-    Ties go to the winner listed first, so an ascending list resolves
-    them to the smallest arm.
+    _optimal) or _cw_replan (the weight form, for the bandit).  Each
+    returns the (pair index, rate) entries of its nonzero rates.  Ties go
+    to the winner listed first, so an ascending list resolves them to the
+    smallest arm.
     """
     best = None
     for i1 in groups.winners:
@@ -618,15 +626,14 @@ def _optimal(matrix: PreferenceMatrix, sets, variant: str, k_max=DEFAULT_K_MAX) 
     else:
         planner, exactness = _ecw_plan, "ecw_closed_form"
     div = gap_divergence(matrix.values).tolist()
-    winner, rates, constant = _best_plan(planner, GroupCache(sets), div)
-    if variant != "cw":  # the closed form gives its nonzero rates only
-        entries, rates = rates, [0.0] * pair_count(matrix.k)
-        for p, rate in entries:
-            rates[p] = rate
+    winner, entries, constant = _best_plan(planner, GroupCache(sets), div)
+    rates = [0.0] * pair_count(matrix.k)
+    for p, rate in entries:
+        rates[p] = rate
     return OptimalExploration(
         winner=winner + 1,
         rates=RateVector(matrix.k, rates),
-        constant=float(constant),
+        constant=constant,
         exactness=exactness,
     )
 

@@ -272,7 +272,7 @@ def simplex_dense(costs, constraints, upper_bounds):
     if (rows < 0).any():
         raise ValidationError("constraint coefficients must be nonnegative")
     r = rows.shape[0]
-    b = rows @ u - 1.0
+    b = (rows * u).sum(axis=1) - 1.0  # the sums simplex_solve takes, in its order
     if (b < -1e-9).any():
         bad = int(np.argmin(b))
         raise ValidationError(f"constraint row {bad} is violated even at the box point")
@@ -320,7 +320,10 @@ def simplex_dense(costs, constraints, upper_bounds):
         if bv < n:
             z[bv] = tab[i, -1]
     x = np.clip(u - z, 0.0, u)
-    return x, float(c @ x)
+    value = 0.0
+    for cost, xk in zip(c.tolist(), x.tolist()):
+        value += cost * xk
+    return x, value
 
 
 def subset_lp_rows(n, slack):
@@ -377,7 +380,6 @@ def run_per_round(matrix, config, horizon, seed, rebuild=False):
                 state._refresh()
             l, m = select_pair(state, config)
         outcome = None if l == m else (1 if rng.random() < vals[l - 1][m - 1] else 0)
-        state._guard = None  # update_and_plan rescans the guards itself
         update_and_plan(state, config, (l, m), outcome)
         acc += rnum[l - 1][m - 1]
         if t == grid[cp_idx]:

@@ -143,36 +143,49 @@ class TestSelectPair:
         assert any(i != j for i, j in planned)
 
 
-class TestGuardScanOncePerRound:
-    def test_select_then_update_scans_once(self, cyclic, monkeypatch):
-        scans = []
+class TestGuardVerdictPerRound:
+    def test_select_and_update_see_the_same_verdict(self, cyclic, monkeypatch):
+        calls = []
         scan = bandit._first_guarded
-        monkeypatch.setattr(bandit, "_first_guarded", lambda *a: scans.append(1) or scan(*a))
+
+        def recorded(state, cfg):
+            verdict = scan(state, cfg)
+            calls.append((state.t, verdict, state._stop, state._level, state._floor))
+            return verdict
+
+        monkeypatch.setattr(bandit, "_first_guarded", recorded)
         cfg = AlgorithmConfig()
         state = RmedState(4)
         rng = np.random.default_rng(5)
-        for _ in range(200):
+        for t in range(1, 201):
             pair = select_pair(state, cfg)
             out = None
             if pair[0] != pair[1]:
                 out = int(rng.random() < cyclic.values[pair[0] - 1][pair[1] - 1])
             update_and_plan(state, cfg, pair, out)
-            assert state._guard is None  # the verdict is consumed
-        assert len(scans) == 200
+            # select_pair's call and update_and_plan's, at round t, agree in
+            # verdict and leave the same scan state
+            selected, updated = calls[-2:]
+            assert selected == updated and selected[0] == t
+            guarded = selected[1]
+            assert guarded is None or pair == (guarded[0] + 1, guarded[1] + 1)
+        assert len(calls) == 400
+        assert any(c[1] is None for c in calls) and any(c[1] is not None for c in calls)
 
     def test_update_without_select_recomputes(self, cyclic):
-        # a verdict recorded for another round is not reused: at t=5 the
-        # bootstrap near-tie guard fires, so this is a guard round, not a loop round
+        # update_and_plan asks the guard for its own round: select_pair's
+        # loop verdict at t=2000 does not carry to t=5, where the bootstrap
+        # near-tie guard fires, so this is a guard round, not a loop round
         cfg = AlgorithmConfig()
         state = exploit_ready_state(cyclic, t=2000, n=1000)
         state.lc = [(0, 0)]
         state.lr = {(0, 0)}
         state.cursor = 0
-        assert select_pair(state, cfg) == (1, 1)  # loop verdict recorded for t=2000
+        assert select_pair(state, cfg) == (1, 1)  # a loop round at t=2000
         state.t = 5
         update_and_plan(state, cfg, (2, 1), 1)
         assert state.lc == [(0, 0)] and state.cursor == 0 and state.ihat is None
-        # without any recorded verdict the loop round plans
+        # with no select_pair before it, the loop round plans
         state = exploit_ready_state(cyclic, t=2000, n=1000)
         state.lc = [(0, 0)]
         state.lr = {(0, 0)}
@@ -252,7 +265,7 @@ def first_loop_draw(matrix, cfg, seed=0):
     rng = np.random.default_rng(seed)
     while True:
         pair = select_pair(state, cfg)
-        if state._guard[1] is None and pair[0] != pair[1]:
+        if bandit._first_guarded(state, cfg) is None and pair[0] != pair[1]:
             return state, pair
         out = None if pair[0] == pair[1] else int(rng.random() < matrix.mu(*pair))
         update_and_plan(state, cfg, pair, out)
@@ -428,7 +441,9 @@ class TestResumedGuardScan:
     pair moves that stop back, and ``_refresh`` resets it.  At every guard
     call of a run the verdict must equal ``oracles.first_guarded_scan``,
     a lexicographic scan of the tallies, and the floors must bound the
-    minima they stand for.
+    minima they stand for.  A second call at once must give the same
+    verdict and leave the stop, the level and the floors as they were,
+    which is what lets select_pair and update_and_plan each ask the guard.
     """
 
     # (name, matrix, config, horizon, rounds at least that advance_self_pairs
@@ -455,6 +470,10 @@ class TestResumedGuardScan:
             got = original(state, cfg)
             assert got == first_guarded_scan(state, cfg)
             assert state._floor[0] <= min(state._n) and state._floor[1] <= min(state._gap)
+            # asked again with no draw in between, the guard repeats itself and keeps its state
+            scan_state = (state._stop, state._level, state._floor)
+            assert original(state, cfg) == got
+            assert (state._stop, state._level, state._floor) == scan_state
             seen["calls"] += 1
             if not (low >= need and close >= near):
                 seen["scans"] += 1

@@ -53,7 +53,7 @@ BOUNDS_PINS = {
     ),
     "gap": (
         "b89890e625f75827ca96c40635e7f2a730df9c470f9b3b575244d1e583a7a362",
-        "c984e012273cf37f7db8e7c0c9521e1be51737bc1386e48240d7b66501f9b476",
+        "bb2e40f7cfd35d9a9df963c4aa5b023de38a94acc77819d76e671ae98d6e3fd0",
     ),
     "multisol": (
         "2c887bf388308a6fbf1fd0e78b8e32839cd4a88c37faeab1ed85f73a4488a2cd",
@@ -65,7 +65,7 @@ BOUNDS_PINS = {
     ),
     "mslr5_noncondorcet": (
         "e94a80c995b72b8bbfd0aecda9e838bc2f59ced5d57f5feeda17caa609f722e8",
-        "77987d55cec8f976c4187c4f2fe22584f13c56cd0eb650022b255bbfcc47eecc",
+        "59b24d86eb0a18bf2604f51fc59db56c07511378a181b09b0c179ae94a8a337b",
     ),
     "sushi": (
         "663682b24dcb6ea2c886f556a53fdc7bb1c038f0b439bd65f2555aa43d13494b",

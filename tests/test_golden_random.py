@@ -21,15 +21,15 @@ from duelbench.core import save_matrix
 
 #: (kind, K, seed) -> sha256 of ``bounds --input <kind>_k<K>_s<seed>.csv --json --rates`` stdout
 PINS = {
-    ("strict", 4, 1): "d0e912f014dfb90d86866db26a8fcc07fe6847ec5bc6375aa551f6a942f2782a",
+    ("strict", 4, 1): "7e74712bdd5151de931021e4e2fbfb14736b3b912a36e73cd4e67843d9509ac3",
     ("strict", 5, 3): "56166ef7e742fde4b0e576d2a2b0f75fc54ec9685d8572797b28dd77e1ef22f1",
-    ("strict", 6, 0): "1a69f41bbd2298de0aeb57537e5f3f0e86ae511eb4495d24617cbc9e94b8df43",
+    ("strict", 6, 0): "166e43a02737d024c46cce1f49a540b4701f818dbb744d12d4fd272e2fda6d30",
     ("strict", 7, 2): "d6492f756fb860a6f50a9db6ca295d664f326537400306285baf6cf8b4477d77",
-    ("strict", 7, 3): "c3533e46f1ba8a92a32cd972207828fb549f6d34190a01c2cd8e7feb6a1f22e8",
+    ("strict", 7, 3): "657ac17b4d7eccc9a31442718d69edd9132cbf64809ad6e04f4fe6c5eabca06b",
     ("strict", 8, 0): "ffdd0144855efea819081ad6db51ca4e825495936ad078ebbcb42bce19c9750a",
     ("multi", 4, 5): "cdc3a5e9b61f002e8b4c0fe407acec80cf858096ccb99c42c5cf16972747c5e2",
     ("multi", 6, 6): "c7d99f5161bbb7313c78afa97d8739b6c5386817fd74b342fd61e69801bfe641",
-    ("multi", 8, 7): "d188bdd9e59f76a12e395e952c878a3d7f7a8f723e435fdc425209420ce90b82",
+    ("multi", 8, 7): "2350870d3496ac22421e3eedd896e422912591a026b5b54b58a50a8c8d820b0c",
 }
 
 MAKERS = {"strict": random_matrix, "multi": random_tied_winner_matrix}

@@ -69,12 +69,14 @@ def assert_same_lp(matrix):
     div = gap_divergence(values).tolist()
     constants = []
     for i1 in winners:
-        rates, constant = _cw_lp(GroupCache(sets), div, i1)
+        entries, constant = _cw_lp(GroupCache(sets), div, i1)
         _, reference = cw_lp_enumerated(values, i1)
         assert constant == pytest.approx(reference, rel=1e-9, abs=1e-12)
         assert constant == pytest.approx(highs_constant(values, i1), rel=1e-7, abs=1e-9)
         q = np.zeros((matrix.k, matrix.k))
-        for (i, j), rate in zip(iter_pairs(matrix.k), rates):
+        pairs = list(iter_pairs(matrix.k))
+        for p, rate in entries:
+            i, j = pairs[p]
             q[i, j] = q[j, i] = rate
         weights = (q * np.asarray(div)).tolist()
         assert min_lhs_cw(GroupCache(sets), i1, weights) >= 1.0 - FEASIBILITY_TOL
