@@ -13,17 +13,15 @@ directly (zero at t=1), and normalized counts divide by ln(max(t, 2)).
 
 A draw of a distinct pair updates that pair's entries in flat per-pair
 lists of N_ij and |muhat_ij - 1/2|, which the guard scan reads, and
-marks the pair as drawn.  The guard first tests cached floors, lower
-bounds on the smallest N_ij and the smallest gap: a draw only raises a
-count and lowers the gap floor when it writes a smaller gap, so a pass
-on the floors is a pass of every pair.  Only a failure scans the pairs,
-and the scan resumes where the last one stopped, under the level
-ceil(alpha sqrt(ln t)) it ran under: an undrawn pair keeps its count and
-gap, an integer count passes alpha sqrt(ln t) exactly when it reaches
-that level, and beta / ln ln t only falls as t grows, so every pair
-before the stop still passes.  A draw of an earlier pair moves the stop
-back to it, and a new level restarts the scan at the first pair.  The
-exact minima are taken again only when a scan passes every pair.
+marks the pair as drawn.  The guard keeps only where its last scan
+stopped, the level ceil(alpha sqrt(ln t)) and the near-tie threshold it
+ran under; every pair before the stop passed both.  A scan resumes at
+the stop, and a scan that passed every pair answers at once: a count
+only rises, an integer count passes alpha sqrt(ln t) exactly when it
+reaches the level, and beta / ln ln t only falls as t grows.  A draw
+before the stop moves it back to the drawn pair only when the new gap
+is below the threshold, and a new level restarts the scan at the first
+pair.
 
 The next plan step rewrites only the drawn pairs' divergences and
 weights, with one numpy log call (``core.gap_divergences``), and drops
@@ -134,16 +132,15 @@ class RmedState:
         "wins",
         "muhat",
         "lc",
-        "lr",
         "ln_next",
         "cursor",
         "ihat",
         "_pairs",
         "_n",
         "_gap",
-        "_floor",
         "_stop",
         "_level",
+        "_near",
         "_touched",
         "_weights",
         "_div",
@@ -158,7 +155,6 @@ class RmedState:
         self.muhat = [[0.5] * k for _ in range(k)]
         self._pairs = list(iter_pairs(k))
         self.lc = list(self._pairs)
-        self.lr = set(self._pairs)
         self.ln_next = set()
         self.cursor = 0
         self.ihat = None  # 1-based once a candidate has been identified
@@ -182,9 +178,9 @@ class RmedState:
         # N_ij and |muhat_ij - 1/2| per pair, in _pairs order, kept by every draw
         self._n = [counts[i][j] for i, j in self._pairs]
         self._gap = [abs(muhat[i][j] - 0.5) for i, j in self._pairs]
-        self._floor = (min(self._n), min(self._gap))  # lower bounds on both minima
-        # where the last guard scan stopped, and the count level it ran under
-        self._stop, self._level = 0, None
+        # where the last guard scan stopped, and the count level and near-tie
+        # threshold it ran under
+        self._stop, self._level, self._near = 0, None, inf
         self._touched = set()  # indices of the pairs drawn since the last _update
 
     def _update(self):
@@ -251,35 +247,32 @@ def _count_need(alpha: float, t: int) -> float:
 def _first_guarded(state: RmedState, config: AlgorithmConfig):
     """First lexicographic pair failing a guard, or None.
 
-    Every pair passes when the floors, lower bounds on min(_n) and
-    min(_gap), pass.  When they do not, the pairs are scanned from where
-    the last scan stopped, if it ran under the same count level
-    ceil(alpha sqrt(ln t)), and from the first pair otherwise.  That is
-    exact: every pair before the stop passed then, and still does unless
-    it was drawn since, which moves the stop back to it.  Its count is
-    unchanged and an integer count passes alpha sqrt(ln t) exactly when
-    it reaches the level, and its gap is unchanged while beta / ln ln t
-    only falls as t grows.  A scan that passes every pair retakes the
-    floors as the exact minima.  A repeat call with no draw in between
-    changes nothing: the floors pass again, or the stop pair still fails.
+    The pairs are scanned from where the last scan stopped, if it ran
+    under the same count level ceil(alpha sqrt(ln t)), and from the first
+    pair otherwise; a stop past the last pair answers None at once.  That
+    is exact: every pair before the stop had a count at the level and a
+    gap at or above ``_near``, the threshold of the last call.  A count
+    only rises, and an integer count passes alpha sqrt(ln t) exactly when
+    it reaches the level.  beta / ln ln t only falls as t grows, and a
+    draw whose gap falls below ``_near`` moves the stop back to its pair.
+    A repeat call with no draw in between changes nothing: the stop pair
+    still fails, or the stop is past the last pair.
     """
     t = state.t
     logt = log(t)  # taken once for both thresholds; need is _count_need's
     need = config.alpha * sqrt(logt)
-    near = inf if t <= BOOTSTRAP_ROUNDS else config.beta / log(logt)
-    low, close = state._floor
-    if low >= need and close >= near:
-        return None
-    n, gap = state._n, state._gap
+    near = state._near = inf if t <= BOOTSTRAP_ROUNDS else config.beta / log(logt)
     level = ceil(need)
-    start = state._stop if level == state._level else 0
-    state._level = level
-    for p in range(start, len(n)):
+    if level != state._level:
+        state._stop, state._level = 0, level
+    n, gap = state._n, state._gap
+    if state._stop == len(n):  # most asks: the last scan passed every pair
+        return None
+    for p in range(state._stop, len(n)):
         if n[p] < level or gap[p] < near:
             state._stop = p
             return state._pairs[p]
     state._stop = len(n)
-    state._floor = (min(n), min(gap))
     return None
 
 
@@ -337,15 +330,11 @@ def _plan_step(state: RmedState, config: AlgorithmConfig):
         candidates.add((ihat, ihat))
     state.ihat = ihat + 1
 
-    # loop bookkeeping: drop the drawn pair, merge newly required pairs
-    state.lr.discard(state.lc[state.cursor])
-    for p in candidates:
-        if p not in state.lr:
-            state.ln_next.add(p)
+    # loop bookkeeping: queue the required pairs the rest of the loop won't draw
     state.cursor += 1
+    state.ln_next |= candidates.difference(state.lc[state.cursor :])
     if state.cursor >= len(state.lc):
         state.lc = sorted(state.ln_next)
-        state.lr = set(state.lc)
         state.ln_next = set()
         state.cursor = 0
 
@@ -388,11 +377,11 @@ def update_and_plan(state: RmedState, config: AlgorithmConfig, pair, outcome) ->
         state.muhat[l][m] = mu
         state.muhat[m][l] = 1.0 - mu
         p = pair_index(l, m)
-        state._n[p] += 1  # a count only rises, so the count floor stays a bound
+        state._n[p] += 1
         gap = state._gap[p] = abs(mu - 0.5)
-        if gap < state._floor[1]:
-            state._floor = (state._floor[0], gap)
-        if p < state._stop:  # the next guard scan must read this pair again
+        # A count only rises, so the pair still passes the count level; it
+        # must be read again only if its gap fell below the near-tie threshold.
+        if p < state._stop and gap < state._near:
             state._stop = p
         state._touched.add(p)
     else:

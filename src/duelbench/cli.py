@@ -116,7 +116,8 @@ def cmd_run(args) -> int:
 
     final = trace.mean[-1]
     ecw_const = solvers.ecw_constant(matrix)
-    ratio = final / (ecw_const * math.log(args.horizon)) if args.horizon > 1 else float("nan")
+    scale = ecw_const * math.log(args.horizon)  # 0 at T = 1, or when every arm is a winner
+    ratio = final / scale if scale else float("nan")
     print(f"final mean regret: {_sig3(final)}")
     print(f"ratio to ecw_constant * ln T: {_sig3(ratio)}")
     print(f"trace written: {path}")

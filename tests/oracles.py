@@ -18,7 +18,8 @@ both kernels of the condensed one.  ``gap_divergence_numpy`` is the
 divergence in numpy array operations, the reference for
 ``core.gap_divergences``; ``first_guarded_scan`` the guard as a full
 lexicographic scan over the tallies, the reference for the bandit's
-floors and its resumed scan.  ``ecw_plan_dense`` is the relaxed plan as
+resumed scan, and ``assert_guard_state_holds`` the invariant of the
+scan's stop.  ``ecw_plan_dense`` is the relaxed plan as
 one rate per pair, summed with no cached piece, the reference for the
 (pair index, rate) entries of ``solvers._ecw_plan``.
 """
@@ -69,6 +70,13 @@ def first_guarded_scan(state, config):
             if state.counts[i][j] < need or abs(state.muhat[i][j] - 0.5) < near:
                 return i, j
     return None
+
+
+def assert_guard_state_holds(state):
+    """Every pair before the guard's stop has a count at its level and a gap at or above its threshold."""
+    stop = state._stop
+    assert all(n >= state._level for n in state._n[:stop])
+    assert all(gap >= state._near for gap in state._gap[:stop])
 
 
 def ecw_plan_dense(sets, div, i1):

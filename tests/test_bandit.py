@@ -21,7 +21,7 @@ from duelbench.bandit import BOOTSTRAP_ROUNDS, check_size
 from duelbench.constraints import FEASIBILITY_TOL, GroupCache, min_lhs_cw, min_lhs_ecw
 from duelbench.core import sample_submatrix
 from conftest import random_matrix
-from oracles import first_guarded_scan
+from oracles import assert_guard_state_holds, first_guarded_scan
 from test_self_pairs import converged_state, set_pair
 
 
@@ -97,7 +97,6 @@ class TestSelectPair:
         cfg = AlgorithmConfig()
         state = exploit_ready_state(cyclic)
         state.lc = [(0, 0)]
-        state.lr = {(0, 0)}
         state.cursor = 0
         assert select_pair(state, cfg) == (1, 1)
         update_and_plan(state, cfg, (1, 1), None)
@@ -136,7 +135,6 @@ class TestSelectPair:
         state.muhat[0][1] = 0.4
         state._refresh()
         state.lc = [(0, 0)]
-        state.lr = {(0, 0)}
         state.cursor = 0
         update_and_plan(state, cfg, (1, 1), None)
         planned = set(state.lc)
@@ -150,7 +148,8 @@ class TestGuardVerdictPerRound:
 
         def recorded(state, cfg):
             verdict = scan(state, cfg)
-            calls.append((state.t, verdict, state._stop, state._level, state._floor))
+            assert_guard_state_holds(state)
+            calls.append((state.t, verdict, state._stop, state._level, state._near))
             return verdict
 
         monkeypatch.setattr(bandit, "_first_guarded", recorded)
@@ -179,7 +178,6 @@ class TestGuardVerdictPerRound:
         cfg = AlgorithmConfig()
         state = exploit_ready_state(cyclic, t=2000, n=1000)
         state.lc = [(0, 0)]
-        state.lr = {(0, 0)}
         state.cursor = 0
         assert select_pair(state, cfg) == (1, 1)  # a loop round at t=2000
         state.t = 5
@@ -188,7 +186,6 @@ class TestGuardVerdictPerRound:
         # with no select_pair before it, the loop round plans
         state = exploit_ready_state(cyclic, t=2000, n=1000)
         state.lc = [(0, 0)]
-        state.lr = {(0, 0)}
         state.cursor = 0
         update_and_plan(state, cfg, (1, 1), None)
         assert state.ihat == 1
@@ -224,13 +221,13 @@ class TestUpdateBookkeeping:
     def test_random_variant_ignores_lists(self):
         cfg = AlgorithmConfig(variant="random")
         state = RmedState(4)
-        before = (list(state.lc), set(state.lr), set(state.ln_next), state.cursor)
+        before = (list(state.lc), set(state.ln_next), state.cursor)
         rng = np.random.default_rng(3)
         for _ in range(50):
             pair = random_baseline_select(rng, 4)
             out = None if pair[0] == pair[1] else int(rng.random() < 0.5)
             update_and_plan(state, cfg, pair, out)
-        assert (list(state.lc), set(state.lr), set(state.ln_next), state.cursor) == before
+        assert (list(state.lc), set(state.ln_next), state.cursor) == before
         assert state.t == 51
 
     def test_conservation(self, cyclic):
@@ -281,7 +278,6 @@ def snapshot(state):
             state.ihat,
             state.lc,
             state.cursor,
-            state.lr,
             state.ln_next,
         )
     )
@@ -299,7 +295,6 @@ class TestLoopRoundPair:
         update_and_plan(state, cfg, (l, m), 0)
         update_and_plan(flipped, cfg, (m, l), 1)
         assert snapshot(flipped) == snapshot(state)
-        assert flipped.lr == set(flipped.lc[flipped.cursor :])
 
     def test_other_pair_is_rejected_before_any_tally(self, cyclic):
         cfg = AlgorithmConfig()
@@ -355,9 +350,25 @@ class TestLoopInvariants:
                 out = int(rng.random() < cyclic.values[pair[0] - 1][pair[1] - 1])
             update_and_plan(state, cfg, pair, out)
             if state.cursor == 0:
-                # fresh loop: the remaining set mirrors the list, nothing queued
-                assert state.lr == set(state.lc)
-                assert state.ln_next == set()
+                assert state.ln_next == set()  # fresh loop: nothing queued
+
+    def test_a_drawn_pair_still_required_is_queued_again(self, cyclic):
+        # pair (2, 1) drawn 100 times stays below its rate 49.7 ln t, and arm
+        # 1's budget falls short, so (2, 1) and (1, 1) are required after each
+        # plan step; the other pairs, drawn 1000 times, are not
+        cfg = AlgorithmConfig()
+        state = exploit_ready_state(cyclic)
+        set_pair(state, 1, 0, 100, cyclic.values[1, 0])
+        state.lc = [(1, 0), (2, 0)]
+        update_and_plan(state, cfg, select_pair(state, cfg), 0)
+        assert (state.cursor, state.ln_next) == (1, {(0, 0), (1, 0)})
+        update_and_plan(state, cfg, select_pair(state, cfg), 0)
+        assert (state.lc, state.cursor, state.ln_next) == ([(0, 0), (1, 0)], 0, set())
+        # the exploited self pair, drawn at the end of its one-pair pass, starts the next
+        state = exploit_ready_state(cyclic)
+        state.lc = [(0, 0)]
+        update_and_plan(state, cfg, select_pair(state, cfg), None)
+        assert (state.lc, state.cursor, state.ln_next) == ([(0, 0)], 0, set())
 
     def test_beta_zero_variant_runs(self, cyclic):
         cfg = AlgorithmConfig(beta=0.0)
@@ -437,13 +448,15 @@ class TestResumedGuardScan:
     """The guard scan resumes where the last one stopped; its verdict is a full scan's.
 
     ``_first_guarded`` scans from the pair it last stopped at while the
-    count level ceil(alpha sqrt(ln t)) is unchanged, a draw of an earlier
-    pair moves that stop back, and ``_refresh`` resets it.  At every guard
-    call of a run the verdict must equal ``oracles.first_guarded_scan``,
-    a lexicographic scan of the tallies, and the floors must bound the
-    minima they stand for.  A second call at once must give the same
-    verdict and leave the stop, the level and the floors as they were,
-    which is what lets select_pair and update_and_plan each ask the guard.
+    count level ceil(alpha sqrt(ln t)) is unchanged, and answers at once
+    when that scan passed every pair; a draw of an earlier pair into the
+    near-tie band moves the stop back, and ``_refresh`` resets it.  At
+    every guard call of a run the verdict must equal
+    ``oracles.first_guarded_scan``, a lexicographic scan of the tallies,
+    and every pair before the stop must pass at the level and threshold
+    the call stored.  A second call at once must give the same verdict and
+    leave the stop, the level and the threshold as they were, which is
+    what lets select_pair and update_and_plan each ask the guard.
     """
 
     # (name, matrix, config, horizon, rounds at least that advance_self_pairs
@@ -464,18 +477,17 @@ class TestResumedGuardScan:
 
         def checked(state, cfg):
             stop, level = state._stop, state._level
-            low, close = state._floor
-            need = bandit._count_need(cfg.alpha, state.t)
             near = math.inf if state.t <= BOOTSTRAP_ROUNDS else cfg.beta / math.log(math.log(state.t))
             got = original(state, cfg)
             assert got == first_guarded_scan(state, cfg)
-            assert state._floor[0] <= min(state._n) and state._floor[1] <= min(state._gap)
+            assert state._near == near
+            assert_guard_state_holds(state)
             # asked again with no draw in between, the guard repeats itself and keeps its state
-            scan_state = (state._stop, state._level, state._floor)
+            scan_state = (state._stop, state._level, state._near)
             assert original(state, cfg) == got
-            assert (state._stop, state._level, state._floor) == scan_state
+            assert (state._stop, state._level, state._near) == scan_state
             seen["calls"] += 1
-            if not (low >= need and close >= near):
+            if not (stop == len(state._n) and level == state._level):
                 seen["scans"] += 1
                 seen["resumed"] += stop > 0 and level == state._level
                 seen["restarted"] += stop > 0 and level != state._level
@@ -497,7 +509,7 @@ class TestResumedGuardScan:
     def test_every_verdict_equals_a_full_scan(self, monkeypatch, make, config, horizon, skipped):
         seen = self.checked_run(monkeypatch, make(), config, horizon, 0)
         assert seen["resumed"] > 0 and seen["restarted"] > 0
-        assert seen["calls"] > seen["scans"]  # the floors pass on some rounds
+        assert seen["calls"] > seen["scans"]  # a scan that passed every pair answers some calls
         assert seen["skipped"] >= skipped
 
     @settings(max_examples=25, deadline=None)

@@ -169,6 +169,26 @@ class TestRun:
         assert payload["checkpoints"][-1] == 1500
         assert len(payload["runs"]) == 3
 
+    @pytest.mark.parametrize(
+        "source, algo, horizon",
+        [("cyclic", "ecw", "1"), ("rps", "ecw", "100"), ("rps", "cw", "100"), ("rps", "random", "100")],
+    )
+    def test_ratio_is_nan_when_its_scale_is_zero(self, capsys, tmp_path, source, algo, horizon):
+        # ln T is 0 at T = 1; lambda_tilde is 0 when every arm is a Copeland winner
+        if source == "rps":
+            path = tmp_path / "rps.csv"
+            path.write_text("0.5,0.7,0.3\n0.3,0.5,0.7\n0.7,0.3,0.5\n")
+            where = ["--input", str(path)]
+        else:
+            where = ["--dataset", source]
+        code, out, _ = run_cli(
+            capsys, "run", *where, "--algo", algo, "--T", horizon, "--runs", "2",
+            "--output", str(tmp_path / "t.json"),
+        )
+        assert code == 0
+        assert "ratio to ecw_constant * ln T: nan" in out
+        assert (tmp_path / "t.json").exists()
+
     def test_repeat_invocations_identical(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         args = [

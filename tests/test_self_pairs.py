@@ -5,8 +5,8 @@
 Their rows and terminal states must match exactly.  A stretch ends at
 the first round at which a per-round float predicate flips;
 ``_first_failing`` finds that round by bisection and must agree with a
-scan over every round.  The guard tests cached floors before it scans;
-its verdict must equal a scan over the tallies.
+scan over every round.  The guard resumes its scan where the last one
+stopped; its verdict must equal a scan over the tallies.
 """
 
 import copy
@@ -24,7 +24,12 @@ from duelbench.constraints import FEASIBILITY_TOL
 from duelbench.core import _copeland_sets, _regret_nums
 from duelbench.harness import _run_single
 from conftest import random_matrix
-from oracles import assert_caches_match_a_rebuild, first_guarded_scan, run_per_round
+from oracles import (
+    assert_caches_match_a_rebuild,
+    assert_guard_state_holds,
+    first_guarded_scan,
+    run_per_round,
+)
 
 SCALE = 1.0 - FEASIBILITY_TOL
 
@@ -37,7 +42,6 @@ def snapshot(state):
         state.ihat,
         state.lc,
         state.cursor,
-        state.lr,
         state.ln_next,
     )
 
@@ -250,7 +254,6 @@ def converged_state(matrix, t=2000, n=1000):
                 state.muhat[i][j] = wins / n
     state._refresh()
     state.lc = [(0, 0)]
-    state.lr = {(0, 0)}
     state.ln_next = set()
     state.cursor = 0
     return state
@@ -345,64 +348,64 @@ class TestAdvance:
         winners = state._groups.winners
         assert len(winners) >= 2
         state.lc = [(winners[-1], winners[-1])]
-        state.lr = set(state.lc)
         assert advance_self_pairs(state, cfg, 5000) == 0
 
 
 def assert_guard_matches_the_scan(state, config):
-    """The floors bound the minima, and the guard's verdict is the scan's.
+    """The pairs before the guard's stop pass, and the guard's verdict is the scan's.
 
     The verdict is taken on a copy, so the run under test is left as it is.
     """
-    low, close = state._floor
-    assert low <= min(state._n)
-    assert close <= min(state._gap)
+    assert_guard_state_holds(state)
     assert _first_guarded(copy.deepcopy(state), config) == first_guarded_scan(state, config)
 
 
-class TestGuardFloors:
+class TestGuardStop:
+    """The guard's stop moves back only for a draw before it that falls inside the near-tie band.
+
+    cyclic at t = 2000 with every pair drawn 1000 times: the count level is
+    ceil(3 sqrt(ln 2000)) = 9 and the near-tie band 0.01 / ln ln t ~ 0.00493.
+    """
+
     def draw(self, state, pair, outcome, rounds):
         random = AlgorithmConfig(variant="random")  # accepts any pair, never plans
         for _ in range(rounds):
             update_and_plan(state, random, pair, outcome)
 
-    def test_a_smaller_gap_lowers_the_floor(self, cyclic):
-        # pair (4, 3) at 0.51 is the closest to a tie, just outside beta / ln ln t
+    def stopped_after_a_close_pair(self, cyclic):
+        """Pair (3, 2) at 506/1000, just outside the band, before a stop at (4, 3), drawn 5 times."""
         cfg = AlgorithmConfig()
         state = converged_state(cyclic)
-        set_pair(state, 3, 2, 1000, 0.51)
-        assert state._floor[1] == min(state._gap) == abs(0.51 - 0.5)
-        assert _first_guarded(state, cfg) is None
-        # eleven losses of arm 4 bring it to 510/1011, inside the near-tie band
-        self.draw(state, (4, 3), 0, 11)
-        assert state._floor[1] == min(state._gap) == abs(510 / 1011 - 0.5)
-        assert_guard_matches_the_scan(state, cfg)
-        assert _first_guarded(state, cfg) == (3, 2)
-
-    def test_argmin_gap_rising_leaves_a_stale_floor(self, cyclic):
-        cfg = AlgorithmConfig()
-        state = converged_state(cyclic)
-        set_pair(state, 3, 2, 1000, 0.502)
-        assert _first_guarded(state, cfg) == (3, 2) == first_guarded_scan(state, cfg)
-        # ten wins of arm 4 take it to 512/1010, out of the near-tie band; the
-        # floor keeps the old gap, below every pair's
-        self.draw(state, (4, 3), 1, 10)
-        stale = state._floor[1]
-        assert stale == abs(502 / 1000 - 0.5) < min(state._gap)
-        assert_guard_matches_the_scan(state, cfg)
-        assert _first_guarded(state, cfg) is None
-        assert state._floor == (min(state._n), min(state._gap))  # retaken exactly
-
-    def test_stale_count_floor_falls_back_to_the_scan(self, cyclic):
-        # the least-drawn pair is drawn past the count guard; the floor lags
-        cfg = AlgorithmConfig()
-        state = converged_state(cyclic)
+        set_pair(state, 2, 1, 1000, 0.506)
         set_pair(state, 3, 2, 5, cyclic.values[3, 2])  # 3 sqrt(ln 2000) > 5
         assert _first_guarded(state, cfg) == (3, 2)
-        self.draw(state, (4, 3), 1, 20)
-        assert state._floor[0] == 5 < min(state._n)
+        assert state._stop == 5 and state._near == 0.01 / math.log(math.log(2000))
+        return state, cfg
+
+    def test_a_draw_that_stays_outside_the_band_keeps_the_stop(self, cyclic):
+        state, cfg = self.stopped_after_a_close_pair(cyclic)
+        self.draw(state, (3, 2), 0, 2)  # 506/1002: a gap of 0.00499
+        assert abs(state.muhat[2][1] - 0.5) >= state._near
+        assert state._stop == 5
         assert_guard_matches_the_scan(state, cfg)
+        assert _first_guarded(state, cfg) == (3, 2)
+
+    def test_a_draw_into_the_band_moves_the_stop_back(self, cyclic):
+        state, cfg = self.stopped_after_a_close_pair(cyclic)
+        self.draw(state, (3, 2), 0, 3)  # 506/1003: a gap of 0.00449
+        assert abs(state.muhat[2][1] - 0.5) < state._near
+        assert state._stop == 2
+        assert_guard_matches_the_scan(state, cfg)
+        assert _first_guarded(state, cfg) == (2, 1)
+
+    def test_a_new_level_restarts_a_scan_that_passed_every_pair(self, cyclic):
+        cfg = AlgorithmConfig()
+        state = converged_state(cyclic)
+        state.counts[1][0] = state.counts[0][1] = state._n[0] = 9  # as a refresh would set it
         assert _first_guarded(state, cfg) is None
+        assert (state._stop, state._level) == (len(state._n), 9)
+        state.t = 9_000  # 3 sqrt(ln 9000) > 9: the level is 10
+        assert _first_guarded(state, cfg) == (1, 0) == first_guarded_scan(state, cfg)
 
 
 class SteppedRun(RuleBasedStateMachine):
@@ -411,10 +414,11 @@ class SteppedRun(RuleBasedStateMachine):
     Each step draws the pair ``select_pair`` chose, as the harness does.
     Besides the tallies and the regret ledger, the loop bookkeeping must
     hold: L_C sorted without duplicates, the pairs still to draw in this
-    pass exactly ``lc[cursor:]``, and nothing queued for the next pass
-    among them.  The planning caches, kept up to date draw by draw, must
-    equal a full rebuild from the tallies, and the guard floors must bound
-    the minima they stand for, with the guard's verdict that of a scan.
+    pass ``lc[cursor:]``, and nothing queued for the next pass among
+    them.  The planning caches, kept up to date draw by draw, must equal a
+    full rebuild from the tallies; every pair before the guard's stop must
+    pass at the level and threshold it ran under, and the guard's verdict
+    must be that of a scan.
     """
 
     @initialize(
@@ -452,8 +456,7 @@ class SteppedRun(RuleBasedStateMachine):
         state = self.state
         assert_state_invariants(self.matrix, state, [self.acc / (2.0 * (self.matrix.k - 1))])
         assert state.lc == sorted(set(state.lc))
-        assert state.lr == set(state.lc[state.cursor :])
-        assert not state.ln_next & state.lr
+        assert not state.ln_next & set(state.lc[state.cursor :])
 
     @invariant()
     def caches_match_a_rebuild(self):
