@@ -353,9 +353,9 @@ class TestLoopInvariants:
                 assert state.ln_next == set()  # fresh loop: nothing queued
 
     def test_a_drawn_pair_still_required_is_queued_again(self, cyclic):
-        # pair (2, 1) drawn 100 times stays below its rate 49.7 ln t, and arm
-        # 1's budget falls short, so (2, 1) and (1, 1) are required after each
-        # plan step; the other pairs, drawn 1000 times, are not
+        # pair (2, 1), drawn 100 times, stays below its rate 49.7 ln t and
+        # keeps arm 1's budget short, so (2, 1) and (1, 1) are required after
+        # each plan step; the other pairs, drawn 1000 times, are not
         cfg = AlgorithmConfig()
         state = exploit_ready_state(cyclic)
         set_pair(state, 1, 0, 100, cyclic.values[1, 0])
@@ -364,11 +364,6 @@ class TestLoopInvariants:
         assert (state.cursor, state.ln_next) == (1, {(0, 0), (1, 0)})
         update_and_plan(state, cfg, select_pair(state, cfg), 0)
         assert (state.lc, state.cursor, state.ln_next) == ([(0, 0), (1, 0)], 0, set())
-        # the exploited self pair, drawn at the end of its one-pair pass, starts the next
-        state = exploit_ready_state(cyclic)
-        state.lc = [(0, 0)]
-        update_and_plan(state, cfg, select_pair(state, cfg), None)
-        assert (state.lc, state.cursor, state.ln_next) == ([(0, 0)], 0, set())
 
     def test_beta_zero_variant_runs(self, cyclic):
         cfg = AlgorithmConfig(beta=0.0)
