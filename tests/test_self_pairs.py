@@ -361,7 +361,7 @@ def assert_guard_matches_the_scan(state, config):
 
 
 class TestGuardStop:
-    """The guard's stop moves back only for a draw before it that falls inside the near-tie band.
+    """The guard's stop moves back only for a draw before it into the near-tie band; a new level resets it.
 
     cyclic at t = 2000 with every pair drawn 1000 times: the count level is
     ceil(3 sqrt(ln 2000)) = 9 and the near-tie band 0.01 / ln ln t ~ 0.00493.
@@ -373,7 +373,7 @@ class TestGuardStop:
             update_and_plan(state, random, pair, outcome)
 
     def stopped_after_a_close_pair(self, cyclic):
-        """Pair (3, 2) at 506/1000, just outside the band, before a stop at (4, 3), drawn 5 times."""
+        """Pair (3, 2) at 506/1000, just outside the band, and the stop at (4, 3), drawn 5 times."""
         cfg = AlgorithmConfig()
         state = converged_state(cyclic)
         set_pair(state, 2, 1, 1000, 0.506)
