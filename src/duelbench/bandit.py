@@ -24,17 +24,19 @@ is below the threshold, and a new level restarts the scan at the first
 pair.
 
 The next plan step rewrites only the drawn pairs' divergences and
-weights, with one numpy log call (``core.gap_divergences``), and drops
-only the cached pieces that read them (``constraints.GroupCache``:
-budgets, plan, and the columns and subproblems of the pair's two arms),
-so an exploring round costs work on the drawn pair's rows and columns
-rather than a K x K rebuild.  The plan is kept as its nonzero rates
-alone, (pair index, rate) entries, and the step tests only those
-against N / ln t.  A winner's budget is tested against (1-tol) ln t by a
-walk that stops at the first left side below it; that short value is
-kept apart from the exact budgets and fails again until the next draw
-of a distinct pair, since the threshold only grows.  A budget that
-clears is walked in full and kept.  The cw plan also keeps each winner's last LP
+weights, with one numpy log call (``core.gap_divergences``), drops from
+the ``constraints.GroupCache`` only the columns and subproblems of the
+drawn pairs' arms, and forgets the state's budgets and plan, which read
+every pair; so an exploring round costs work on the drawn pair's rows
+and columns rather than a K x K rebuild.  The plan is kept as its
+nonzero rates alone, (pair index, rate) entries, and the step tests only
+those against N / ln t.  A winner's budget is tested against (1-tol) ln t
+by a walk that stops at the first left side below it.  The state keeps
+each winner's last walk with the floor it ran under: a value at or above
+that floor is the exact budget and answers every call, and a short
+value answers every call whose floor it is still below: every later
+threshold, until the next draw of a distinct pair, since the threshold
+only grows.  The cw plan also keeps each winner's last LP
 basis, which no draw drops: in weight form the LP's polytope reads only
 the Copeland sets (``solvers._cw_replan``).  A replan re-prices the kept
 basis one nonbasic column at a time, over that column's nonzero cells,
@@ -46,7 +48,7 @@ the one a full rebuild gives, the plan's too: a strictly optimal basis
 sits on the unique optimum, which any solve reaches, and its vertex is
 read off in integers, so the pivots that led there leave no trace.
 The cache owns the empirical Copeland sets, every empirical winner
-listed, and the budgets and plan made for them.  A drawn estimate that
+listed, and the pieces derived from them.  A drawn estimate that
 changes side of 1/2 changes those sets, and then only the cache is
 replaced: the counts, gaps, divergences and weights are per-pair values
 the draw has already rewritten.  The K x K caches are built once, with
@@ -145,6 +147,8 @@ class RmedState:
         "_weights",
         "_div",
         "_groups",
+        "_budgets",
+        "_plan",
     )
 
     def __init__(self, k: int):
@@ -182,14 +186,16 @@ class RmedState:
         # threshold it ran under
         self._stop, self._level, self._near = 0, None, inf
         self._touched = set()  # indices of the pairs drawn since the last _update
+        self._budgets = {}  # i1 -> (left side of i1's family, floor its walk ran under)
+        self._plan = None  # (winner, [(pair index, rate) per nonzero rate]) of the argmin plan
 
     def _update(self):
         """Bring the caches up to date with the pairs drawn since the last update.
 
-        The drawn pairs' divergences and weights are rewritten and the
-        cached pieces that read them dropped.  A drawn estimate that has
-        changed side of 1/2 changes the Copeland sets, and then the
-        GroupCache alone is replaced.
+        The drawn pairs' divergences and weights are rewritten, the cached
+        pieces that read them dropped, and the budgets and plan forgotten.
+        A drawn estimate that has changed side of 1/2 changes the Copeland
+        sets, and then the GroupCache alone is replaced.
         """
         if not self._touched:
             return
@@ -206,37 +212,32 @@ class RmedState:
             moved |= (mu < 0.5) != (j in groups.sup[i]) or (mu > 0.5) != (j in groups.inf[i])
         if moved:
             self._groups = GroupCache(_copeland_sets(muhat))
+        self._budgets.clear()
+        self._plan = None
 
     def _budget(self, i1: int, variant: str, floor: float = -inf) -> float:
         """Winner i1's budget, or a left side of its family below ``floor``.
 
-        A result at or above ``floor`` is the exact budget, and is kept in
-        ``budgets``.  A walk that ends below it may have stopped early, so
-        its result is kept apart, in ``short``, and answers only a later
-        call whose floor it is still below.
+        A walk returns the exact budget when it ends at or above the floor
+        it ran under, and may stop early otherwise.  Its (value, floor) is
+        kept, and answers a later call if the value is exact, or if it is
+        still below that call's floor; any other call walks again.
         """
-        groups = self._groups
-        cached = groups.budgets.get(i1)
-        if cached is None:
-            short = groups.short.get(i1)
-            if short is not None and short < floor:
-                return short
-            min_lhs = min_lhs_cw if variant == "cw" else min_lhs_ecw
-            cached = min_lhs(groups, i1, self._weights, floor)
-            if cached < floor:
-                groups.short[i1] = cached
-            else:
-                groups.budgets[i1] = cached
-        return cached
+        kept = self._budgets.get(i1)
+        if kept is not None and (kept[0] >= kept[1] or kept[0] < floor):
+            return kept[0]
+        min_lhs = min_lhs_cw if variant == "cw" else min_lhs_ecw
+        value = min_lhs(self._groups, i1, self._weights, floor)
+        self._budgets[i1] = value, floor
+        return value
 
     def _planned(self, variant: str):
         """(winner, [(pair index, rate) per nonzero rate]) of the argmin-winner plan."""
-        groups = self._groups
-        if groups.plan is None:
+        if self._plan is None:
             planner = _cw_lp if variant == "cw" else _ecw_plan
-            ihat, entries, _ = _best_plan(planner, groups, self._div)
-            groups.plan = ihat, entries
-        return groups.plan
+            ihat, entries, _ = _best_plan(planner, self._groups, self._div)
+            self._plan = ihat, entries
+        return self._plan
 
 
 def _count_need(alpha: float, t: int) -> float:
@@ -304,7 +305,7 @@ def _confirmed_winner(state: RmedState, config: AlgorithmConfig, logt: float):
 
     The threshold is each budget walk's floor: the walk stops at the first
     left side below it, and that short value fails every later round's
-    threshold too, until a draw drops it.
+    threshold too, until a draw of a distinct pair clears it.
     """
     threshold = (1.0 - FEASIBILITY_TOL) * logt
     for i1 in state._groups.winners:

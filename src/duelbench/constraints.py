@@ -24,8 +24,9 @@ The descriptor stream, the feasibility budgets and the planners in
 
 A ``GroupCache`` owns one set of Copeland sets: superiors, inferiors,
 losses, the winners that budgets and plans are made for, and each pair's
-regret rate.  The budgets and the planners take the cache, never the sets
-beside it, and keep in it the pieces they build.
+regret rate.  The budget walks and the planners take the cache, never the
+sets beside it, and keep in it the pieces they build from the sets and
+the weights; what they return is the caller's to keep.
 
 Feasibility of a rate vector is decided without enumerating subsets:
 within a group the binding constraint takes the smallest weighted rates
@@ -236,7 +237,7 @@ def ecw_constraints(matrix: PreferenceMatrix, i1: int) -> ConstraintFamily:
 
 
 class GroupCache:
-    """Copeland sets, regret rates and the budgets, plans and pieces made for them.
+    """Copeland sets, regret rates and the pieces derived from them.
 
     ``sets`` is (superiors, inferiors, losses, winners), all 0-based, and
     ``winners`` the arms that budgets and plans are made for: every
@@ -248,21 +249,17 @@ class GroupCache:
     answers as a full one.  A rival's column and subproblems read its
     column; a winner's pins are not kept, since ``_ecw_plan`` reads them
     from the divergences.  The relaxed rivals read only the sets.  The
-    bandit keeps here too each winner's exact budget, the short left side
-    of a budget walk that stopped below its floor, and the argmin plan;
-    they read every pair.  The exact LP keeps two pieces per winner, which
-    read only the sets: its 0/1 row pattern, read by both of its forms,
-    and from the weight form's last solve each nonbasic column's nonzero
-    cells and the vertex, which ``_cw_replan`` re-prices for new
-    divergences.  A caller that changes the pair (l, m) calls
-    ``drop(l, m)``, which keeps them; a change of the sets needs a new
-    cache.
+    exact LP keeps two pieces per winner, which read only the sets: its
+    0/1 row pattern, read by both of its forms, and from the weight form's
+    last solve each nonbasic column's nonzero cells and the vertex, which
+    ``_cw_replan`` re-prices for new divergences.  A caller that changes
+    the pair (l, m) calls ``drop(l, m)``, which keeps them; a change of
+    the sets needs a new cache.
     """
 
     __slots__ = (
         "sup", "inf", "losses", "winners", "regret",  # fixed for the cache's life
         "flat", "rivals", "columns", "pieces", "lp_rows", "bases",  # filled as they are read
-        "budgets", "short", "plan",  # filled by the bandit's RmedState
     )
 
     def __init__(self, sets):
@@ -276,15 +273,9 @@ class GroupCache:
         # i1 -> ([(variable, [(basic pair, coefficient) per nonzero cell, in basic-row
         # order]) per nonbasic column the re-pricing reads], w) of the last solve
         self.bases = {}
-        self.budgets = {}  # i1 -> min_lhs of i1's family at the bandit's weights
-        self.short = {}  # i1 -> a left side of i1's family below the floor its walk stopped at
-        self.plan = None  # (winner, [(pair index, rate) per nonzero rate]) of the argmin plan
 
     def drop(self, l: int, m: int) -> None:
-        """Forget the budgets, the plan, and the columns and pieces of l and m: all read (l, m)."""
-        self.budgets.clear()
-        self.short.clear()
-        self.plan = None
+        """Forget the columns and pieces of l and m: they read the pair (l, m)."""
         for a in (l, m):
             self.columns.pop(a, None)
             self.pieces.pop(a, None)

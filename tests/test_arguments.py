@@ -265,7 +265,7 @@ class TestErrors:
             l, m = duelbench.select_pair(state, CFG)
             update_and_plan(state, CFG, (l, m), int(rng.random() < M.mu(l, m)))
         duelbench.select_pair(state, CFG)
-        names = ("counts", "wins", "muhat", "_n", "_gap", "_stop", "_level", "_near", "t")
+        names = ("counts", "wins", "muhat", "_n", "_gap", "_stop", "_level", "_near", "_budgets", "_plan", "t")
         before = [repr(getattr(state, name)) for name in names]
         with pytest.raises(ValidationError):
             update_and_plan(state, CFG, pair, 1)

@@ -19,7 +19,7 @@ from duelbench import (
 from duelbench import bandit, builtin_dataset, harness, simulate_batch
 from duelbench.bandit import BOOTSTRAP_ROUNDS, check_size
 from duelbench.constraints import FEASIBILITY_TOL, GroupCache, min_lhs_cw, min_lhs_ecw
-from duelbench.core import sample_submatrix
+from duelbench.core import _copeland_sets, sample_submatrix
 from conftest import random_matrix
 from oracles import assert_guard_state_holds, first_guarded_scan
 from test_self_pairs import converged_state, set_pair
@@ -405,7 +405,8 @@ class TestEarlyStopBudget:
 
     On every ``_confirmed_winner`` call of a run, the winner it returns is
     the one full ``min_lhs_*`` walks on a fresh cache pick, every kept
-    budget is exact, and every kept short value is a left side below the
+    budget that reached the floor its walk ran under is exact, and every
+    other kept value is a left side below that floor, which is at most the
     threshold.
     """
 
@@ -415,8 +416,9 @@ class TestEarlyStopBudget:
         ("ecw", lambda: builtin_dataset("sushi"), 5_000),
     ]
 
-    @pytest.mark.parametrize("variant, make, horizon", RUNS, ids=["cw-sushi6", "cw-cyclic", "ecw-sushi"])
-    def test_every_verdict_equals_the_full_walks(self, monkeypatch, variant, make, horizon):
+    @staticmethod
+    def checked_run(monkeypatch, matrix, variant, horizon, seed):
+        """``simulate_batch`` with every ``_confirmed_winner`` call checked; returns the counts seen."""
         original = bandit._confirmed_winner
         min_lhs = min_lhs_cw if variant == "cw" else min_lhs_ecw
         seen = {"calls": 0, "stopped": 0}
@@ -428,15 +430,127 @@ class TestEarlyStopBudget:
             fresh = GroupCache((groups.sup, groups.inf, groups.losses, groups.winners))
             full = {i1: min_lhs(fresh, i1, weights) for i1 in groups.winners}
             assert got == next((i1 for i1 in groups.winners if full[i1] >= threshold), None)
-            assert all(budget == full[i1] for i1, budget in groups.budgets.items())
-            assert all(full[i1] <= short < threshold for i1, short in groups.short.items())
+            kept = state._budgets.items()
+            assert all(value == full[i1] for i1, (value, floor) in kept if value >= floor)
+            assert all(full[i1] <= value < floor <= threshold for i1, (value, floor) in kept if value < floor)
             seen["calls"] += 1
-            seen["stopped"] += any(short != full[i1] for i1, short in groups.short.items())
+            seen["stopped"] += any(value != full[i1] for i1, (value, _) in kept)
             return got
 
         monkeypatch.setattr(bandit, "_confirmed_winner", checked)
-        simulate_batch(make(), AlgorithmConfig(variant=variant), horizon, 1, 3)
+        simulate_batch(matrix, AlgorithmConfig(variant=variant), horizon, 1, seed)
+        return seen
+
+    @pytest.mark.parametrize("variant, make, horizon", RUNS, ids=["cw-sushi6", "cw-cyclic", "ecw-sushi"])
+    def test_every_verdict_equals_the_full_walks(self, monkeypatch, variant, make, horizon):
+        seen = self.checked_run(monkeypatch, make(), variant, horizon, 3)
         assert seen["stopped"] > 0 and seen["calls"] > seen["stopped"]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        k=st.integers(3, 6),
+        matrix_seed=st.integers(0, 2**32 - 1),
+        run_seed=st.integers(0, 2**32 - 1),
+        variant=st.sampled_from(["cw", "ecw"]),
+        horizon=st.integers(1, 2_000),
+    )
+    def test_random_matrices(self, k, matrix_seed, run_seed, variant, horizon):
+        matrix = random_matrix(np.random.default_rng(matrix_seed), k)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.checked_run(monkeypatch, matrix, variant, horizon, run_seed)
+
+
+class TestKeptBudgetsAndPlan:
+    """``RmedState`` keeps each winner's last budget walk and the plan until a draw.
+
+    A kept (value, floor) answers a call when the value reached its floor,
+    which makes it exact, or when it is still below the call's floor;
+    any other call walks again.  Rounds that change only t keep both, and
+    the next plan step after a distinct draw makes both anew.  Walks and
+    plans are counted through the module globals the state calls.
+    """
+
+    # cyclic with every pair drawn 20 times: the count level at t = 2000 is
+    # 9, no gap is near a tie, and arm 1's cw budget, about 0.81, fails
+    # ln t; a walk at a floor above 8.2 stops at 8.2, its first left side
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = {"walks": 0, "plans": 0}
+
+        def counting(key, original):
+            def wrapper(*args):
+                calls[key] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in ("min_lhs_cw", "min_lhs_ecw"):
+            monkeypatch.setattr(bandit, name, counting("walks", getattr(bandit, name)))
+        for name in ("_cw_lp", "_ecw_plan"):
+            monkeypatch.setattr(bandit, name, counting("plans", getattr(bandit, name)))
+        return calls
+
+    def test_a_short_value_answers_a_higher_floor_without_a_walk(self, monkeypatch, cyclic):
+        state = exploit_ready_state(cyclic, n=20)
+        calls = self.counted(monkeypatch)
+        short = state._budget(0, "cw", 1e9)
+        assert short < 1e9 and state._budgets[0] == (short, 1e9)
+        assert state._budget(0, "cw", 2e9) == short
+        assert calls["walks"] == 1
+        state._budget(0, "cw", short)  # not below this floor: walks again
+        assert calls["walks"] == 2
+
+    def test_a_walk_at_minus_inf_keeps_the_exact_budget_for_every_floor(self, monkeypatch, cyclic):
+        state = exploit_ready_state(cyclic, n=20)
+        calls = self.counted(monkeypatch)
+        short = state._budget(0, "cw", 1e9)
+        exact = state._budget(0, "cw")
+        assert calls["walks"] == 2
+        fresh = GroupCache(_copeland_sets(state.muhat))
+        assert exact == min_lhs_cw(fresh, 0, state._weights) < short
+        assert state._budgets[0] == (exact, -math.inf)
+        for floor in (-math.inf, exact, exact + 1.0, short, 1e9, 2e9):
+            assert state._budget(0, "cw", floor) == exact
+        assert calls["walks"] == 2
+
+    def test_a_self_pair_round_keeps_both_and_a_distinct_draw_makes_both_anew(self, monkeypatch, cyclic):
+        cfg = AlgorithmConfig(variant="cw")
+        state = exploit_ready_state(cyclic, n=20)
+        state.lc = [(1, 0), (0, 0), (2, 0)]
+        calls = self.counted(monkeypatch)
+        update_and_plan(state, cfg, select_pair(state, cfg), 0)  # (2, 1): no winner confirms
+        assert calls == {"walks": 1, "plans": 1}
+        plan, budgets = state._plan, dict(state._budgets)
+        assert plan is not None and budgets[0][0] < budgets[0][1]
+        assert select_pair(state, cfg) == (1, 1)
+        update_and_plan(state, cfg, (1, 1), None)  # the short budget fails the higher threshold too
+        assert calls == {"walks": 1, "plans": 1}
+        assert state._plan is plan and state._budgets == budgets
+        update_and_plan(state, cfg, select_pair(state, cfg), 0)  # (3, 1)
+        assert calls == {"walks": 2, "plans": 2}
+        assert state._plan is not plan
+        assert state._budgets[0][1] == (1.0 - FEASIBILITY_TOL) * math.log(state.t - 1)  # this step's threshold
+
+    def test_a_self_pair_stretch_keeps_both(self, monkeypatch, cyclic):
+        cfg = AlgorithmConfig()
+        state = converged_state(cyclic)
+        assert bandit._confirmed_winner(state, cfg, math.log(state.t)) == 0
+        plan, budgets = state._planned("ecw"), dict(state._budgets)
+        calls = self.counted(monkeypatch)
+        assert bandit.advance_self_pairs(state, cfg, 100_000) > 0
+        update_and_plan(state, cfg, select_pair(state, cfg), None)
+        assert state._planned("ecw") is plan and state._budgets == budgets
+        assert calls == {"walks": 0, "plans": 0}
+
+    def test_a_distinct_draw_forgets_both_at_the_next_update(self, cyclic):
+        state = exploit_ready_state(cyclic, n=20)
+        state._budget(0, "cw", 1e9)
+        state._planned("cw")
+        update_and_plan(state, AlgorithmConfig(variant="random"), (3, 1), 1)
+        assert state._budgets and state._plan is not None  # kept until the next plan step reads them
+        state._update()
+        assert state._budgets == {} and state._plan is None
 
 
 class TestResumedGuardScan:

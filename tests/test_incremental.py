@@ -157,12 +157,10 @@ class TestGroupCacheDrop:
         columns = dict(groups.columns)
         pieces = {a: dict(per_winner) for a, per_winner in groups.pieces.items()}
         before = plan_bits(_ecw_plan(groups, div, i1))
-        groups.budgets[i1] = 1.0
         for a, b in ((j, i1), (j, i2)):  # a pin pair, then a pair of i2's column
             div[a][b] *= 1.5
             div[b][a] *= 1.5
             groups.drop(a, b)
-        assert groups.budgets == {} and groups.plan is None
         gone = {j, i1, i2}
         assert groups.columns.keys() == columns.keys() - gone
         assert all(groups.columns[a] is columns[a] for a in groups.columns)
@@ -226,12 +224,16 @@ class TestCopelandChange:
         state._update()
         groups = state._groups
         assert 0 in groups.inf[1]
+        for i1 in groups.winners:
+            state._budget(i1, "ecw")
+        assert state._budgets and state._planned("ecw") is not None
         refreshes = []
         monkeypatch.setattr(RmedState, "_refresh", lambda self: refreshes.append(self))
         for _ in range(3):
             update_and_plan(state, cfg, (2, 1), 0)  # 2 of 5: arm 1 now beats arm 2
         state._update()
         assert state._groups is not groups
+        assert state._budgets == {} and state._plan is None
         assert refreshes == []
         monkeypatch.undo()
         assert 0 in state._groups.sup[1]
