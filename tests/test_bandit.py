@@ -461,7 +461,7 @@ class TestEarlyStopBudget:
 
 
 class TestKeptBudgetsAndPlan:
-    """``RmedState`` keeps each winner's last budget walk and the plan until a draw.
+    """``RmedState`` keeps each winner's last budget walk and the plan until a distinct draw.
 
     A kept (value, floor) answers a call when the value reached its floor,
     which makes it exact, or when it is still below the call's floor;
@@ -472,7 +472,7 @@ class TestKeptBudgetsAndPlan:
 
     # cyclic with every pair drawn 20 times: the count level at t = 2000 is
     # 9, no gap is near a tie, and arm 1's cw budget, about 0.81, fails
-    # ln t; a walk at a floor above 8.2 stops at 8.2, its first left side
+    # ln t; a walk at a floor above 8.2 stops at its first left side, about 8.2
 
     @staticmethod
     def counted(monkeypatch):
@@ -542,15 +542,6 @@ class TestKeptBudgetsAndPlan:
         update_and_plan(state, cfg, select_pair(state, cfg), None)
         assert state._planned("ecw") is plan and state._budgets == budgets
         assert calls == {"walks": 0, "plans": 0}
-
-    def test_a_distinct_draw_forgets_both_at_the_next_update(self, cyclic):
-        state = exploit_ready_state(cyclic, n=20)
-        state._budget(0, "cw", 1e9)
-        state._planned("cw")
-        update_and_plan(state, AlgorithmConfig(variant="random"), (3, 1), 1)
-        assert state._budgets and state._plan is not None  # kept until the next plan step reads them
-        state._update()
-        assert state._budgets == {} and state._plan is None
 
 
 class TestResumedGuardScan:
