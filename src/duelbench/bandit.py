@@ -24,7 +24,7 @@ is below the threshold, and a new level restarts the scan at the first
 pair.
 
 The next plan step rewrites only the drawn pairs' divergences and
-weights, with one numpy log call (``core.gap_divergences``), drops from
+weights, one ``core.gap_divergences`` call per pair, drops from
 the ``constraints.GroupCache`` only the columns and subproblems of the
 drawn pairs' arms, and forgets the state's budgets and plan, which read
 every pair; so an exploring round costs work on the drawn pair's rows
@@ -192,24 +192,25 @@ class RmedState:
     def _update(self):
         """Bring the caches up to date with the pairs drawn since the last update.
 
-        The drawn pairs' divergences and weights are rewritten, the cached
-        pieces that read them dropped, and the budgets and plan forgotten.
+        Each drawn pair's two divergences come from one kernel call on
+        (muhat_ij, muhat_ji) and give its two weights; the cached pieces
+        that read them are dropped, and the budgets and plan forgotten.
         A drawn estimate that has changed side of 1/2 changes the Copeland
         sets, and then the GroupCache alone is replaced.
         """
         if not self._touched:
             return
         muhat, groups = self.muhat, self._groups
-        drawn = [self._pairs[p] for p in self._touched]
-        self._touched.clear()
-        div = gap_divergences([muhat[i][j] for i, j in drawn] + [muhat[j][i] for i, j in drawn])
         moved = False
-        for (i, j), dij, dji in zip(drawn, div, div[len(drawn) :]):
+        for p in self._touched:
+            i, j = self._pairs[p]
             n, mu = self.counts[i][j], muhat[i][j]
+            dij, dji = gap_divergences((mu, muhat[j][i]))
             self._div[i][j], self._div[j][i] = dij, dji
             self._weights[i][j], self._weights[j][i] = n * dij, n * dji
             groups.drop(i, j)
             moved |= (mu < 0.5) != (j in groups.sup[i]) or (mu > 0.5) != (j in groups.inf[i])
+        self._touched.clear()
         if moved:
             self._groups = GroupCache(_copeland_sets(muhat))
         self._budgets.clear()

@@ -320,10 +320,12 @@ def min_lhs_cw(groups, i1, weights, floor=-inf) -> float:
     """Minimum constraint left side over winner i1's full family, +inf if empty.
 
     ``groups`` is a GroupCache for these weights, and ``weights[i][j]``
-    must hold q_ij * d_KL(mu_ij, 1/2) (symmetric).  For each rival i2 and
-    level l the binding descriptor takes the smallest weights of S and of
-    H - {i2}, H being the arms i1 beats.  The walk returns the first left
-    side below ``floor``; a result at or above it is the exact minimum.
+    must hold q_ij * d_KL(mu_ij, 1/2); the two orientations of a pair can
+    differ in the last bit, and the walk reads the winning arm's row.  For
+    each rival i2 and level l the binding descriptor takes the smallest
+    weights of S and of H - {i2}, H being the arms i1 beats.  The walk
+    returns the first left side below ``floor``; a result at or above it
+    is the exact minimum.
     """
     sup, inf_sets, losses = groups.sup, groups.inf, groups.losses
     w_row = weights[i1]

@@ -107,21 +107,17 @@ def gap_divergences(values) -> list:
     1/2 to 0, so 1/2 itself maps to 0.  Exact 0 and 1 (-0.0 included)
     map to ln 2.  Every other entry, out of range or NaN, maps to 0.
 
-    The logs come from one numpy call over [2p...] + [2(1-p)...]: numpy's
-    log can differ from math.log in the last bit, and every caller must
-    see numpy's bits.  The products and the sum are IEEE operations, so
-    Python floats give the bits numpy would.
+    Each value takes its own two logs from ``math.log`` (libm), whose bits
+    do not follow the CPU's SIMD path as numpy's log does; d(p) and
+    d(1-p) can differ in the last bit, so neither is read off the other.
     """
-    inner = [p for p in values if 0.0 < p < 1.0]
     div = []
-    if inner:
-        twice = [2.0 * p for p in inner] + [2.0 * (1.0 - p) for p in inner]
-        logs = np.log(np.array(twice, dtype=float)).tolist()
-        div = [p * a + (1.0 - p) * b for p, a, b in zip(inner, logs, logs[len(inner) :])]
-    if len(div) < len(values):
-        rest = iter(div)
-        div = [next(rest) if 0.0 < p < 1.0 else _LN2 if p == 0.0 or p == 1.0 else 0.0 for p in values]
-    return [d if d > 0.0 else 0.0 for d in div]
+    for p in values:
+        d = _LN2 if p == 0.0 or p == 1.0 else 0.0
+        if 0.0 < p < 1.0:
+            d = p * math.log(2.0 * p) + (1.0 - p) * math.log(2.0 * (1.0 - p))
+        div.append(d if d > 0.0 else 0.0)
+    return div
 
 
 def gap_divergence(values) -> np.ndarray:
@@ -129,8 +125,9 @@ def gap_divergence(values) -> np.ndarray:
 
     ``gap_divergences`` over the flattened entries, mapped as it maps
     them (0 and 1 to ln 2, 1/2, out-of-range and NaN entries to 0), in
-    the shape of ``values``.  Symmetric in mu <-> 1-mu, so a preference
-    matrix gives a symmetric matrix with a zero diagonal.
+    the shape of ``values``.  A preference matrix gives a zero diagonal,
+    and d[i, j] equal to d[j, i] only up to the last bit, so each reader
+    takes a fixed orientation.
     """
     p = _float_array(values, "probabilities")
     return np.array(gap_divergences(p.ravel().tolist()), dtype=float).reshape(p.shape)

@@ -14,8 +14,8 @@ the harness's stretch skipping; ``run_rebuilt`` also rebuilds the
 bandit's caches before every guard scan and every plan, the reference
 for their draw-by-draw upkeep.
 ``simplex_dense`` is the simplex on the full tableau, the reference for
-both kernels of the condensed one.  ``gap_divergence_numpy`` is the
-divergence in numpy array operations, the reference for
+both kernels of the condensed one.  ``gap_divergence_libm`` is the
+divergence one value at a time with ``math.log``, the reference for
 ``core.gap_divergences``; ``first_guarded_scan`` the guard as a full
 lexicographic scan over the tallies, the reference for the bandit's
 resumed scan, and ``assert_guard_state_holds`` the invariant of the
@@ -45,16 +45,19 @@ from duelbench.harness import _check_preconditions, checkpoint_grid
 from duelbench.solvers import _minimal_sets, simplex_solve
 
 
-def gap_divergence_numpy(values):
-    """Elementwise d_KL(mu, 1/2) in numpy array operations."""
-    p = np.asarray(values, dtype=float)
-    out = np.zeros_like(p)
-    inner = (p > 0.0) & (p < 1.0)
-    pi = p[inner]
-    out[inner] = pi * np.log(2.0 * pi) + (1.0 - pi) * np.log(2.0 * (1.0 - pi))
-    out[(p == 0.0) | (p == 1.0)] = math.log(2.0)
-    # tiny negative round-off near p = 1/2 would poison downstream rates
-    np.maximum(out, 0.0, out=out)
+def gap_divergence_libm(values):
+    """d_KL(mu, 1/2) per value with libm's log: 0 and 1 give ln 2, values
+    outside (0, 1) and NaN give 0, and round-off below 0 becomes 0."""
+    out = []
+    for p in values:
+        p = float(p)
+        if 0.0 < p < 1.0:
+            d = p * math.log(2.0 * p) + (1.0 - p) * math.log(2.0 * (1.0 - p))
+        elif p in (0.0, 1.0):
+            d = math.log(2.0)
+        else:
+            d = 0.0
+        out.append(d if d > 0.0 else 0.0)
     return out
 
 

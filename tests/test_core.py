@@ -1,12 +1,17 @@
 import copy
 import importlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import duelbench
 from conftest import random_matrix
 from duelbench import (
     BUILTIN_DATASETS,
@@ -37,7 +42,7 @@ from duelbench import (
 from duelbench.cli import main
 from duelbench.core import _copeland_sets, gap_divergences
 from duelbench.errors import DomainError
-from oracles import gap_divergence_numpy, sign_sets
+from oracles import gap_divergence_libm, sign_sets
 
 
 def direct_kl(p, q):
@@ -95,24 +100,45 @@ ESTIMATES = sorted({w / n for n in range(1, 400) for w in range(n + 1)})
 
 
 class TestDivergenceKernel:
-    """``gap_divergences`` gives the bits of the numpy array formula.
+    """``gap_divergences`` gives the bits of the per-value libm formula.
 
-    Only the log must be numpy's (math.log differs from it in the last bit
-    on some of these estimates); the products and the sum are IEEE
-    operations either way.
+    The logs are libm's, so the bits do not follow numpy's CPU dispatch:
+    numpy's AVX-512 log differs from libm's in the last bit on some of
+    these estimates.  The products and the sum are IEEE operations
+    either way.
     """
 
     def test_every_estimate_as_one_vector(self):
-        assert bits(gap_divergences(ESTIMATES)) == bits(gap_divergence_numpy(ESTIMATES))
+        assert bits(gap_divergences(ESTIMATES)) == bits(gap_divergence_libm(ESTIMATES))
 
     def test_every_estimate_as_a_drawn_pair(self):
-        # the per-draw update passes [muhat_ij, muhat_ji]
+        # the per-draw update passes (muhat_ij, muhat_ji)
         mismatched = [
             p
             for p in ESTIMATES
-            if bits(gap_divergences([p, 1.0 - p])) != bits(gap_divergence_numpy([p, 1.0 - p]))
+            if bits(gap_divergences([p, 1.0 - p])) != bits(gap_divergence_libm([p, 1.0 - p]))
         ]
         assert mismatched == []
+
+    def test_bits_do_not_follow_numpy_dispatch(self):
+        # one child process with numpy's AVX-512 paths off; on a host
+        # without AVX-512 both sides take the same paths
+        code = (
+            "import sys\n"
+            "from duelbench.core import gap_divergences\n"
+            "est = [float.fromhex(v) for v in sys.stdin.read().split()]\n"
+            "print(' '.join(d.hex() for d in gap_divergences(est)))\n"
+        )
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(duelbench.__file__).resolve().parents[1]),
+            NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            input=" ".join(bits(ESTIMATES)), env=env, capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.split() == bits(gap_divergences(ESTIMATES))
 
     def test_edge_values(self):
         tiny = 5e-324
@@ -120,7 +146,7 @@ class TestDivergenceKernel:
         outside = [-tiny, 1.0 + 2**-52, -1.0, 2.0, math.inf, -math.inf, math.nan]
         values = ends + outside + [tiny, 1.0 - 2**-53, math.nextafter(0.5, 0.0)]
         got = gap_divergences(values)
-        assert bits(got) == bits(gap_divergence_numpy(values))
+        assert bits(got) == bits(gap_divergence_libm(values))
         ln2 = math.log(2.0)
         assert got[:11] == [ln2, ln2, 0.0, ln2] + [0.0] * 7
         assert all(d >= 0.0 for d in got)
@@ -131,7 +157,7 @@ class TestDivergenceKernel:
         values = np.random.default_rng(len(shape)).uniform(-0.1, 1.1, size=shape)
         got = gap_divergence(values)
         assert isinstance(got, np.ndarray) and got.shape == shape and got.dtype == float
-        assert bits(got.ravel()) == bits(gap_divergence_numpy(values).ravel())
+        assert bits(got.ravel()) == bits(gap_divergence_libm(values.ravel()))
 
 
 class TestCopeland:

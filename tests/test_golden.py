@@ -65,7 +65,7 @@ BOUNDS_PINS = {
     ),
     "mslr5_noncondorcet": (
         "e94a80c995b72b8bbfd0aecda9e838bc2f59ced5d57f5feeda17caa609f722e8",
-        "59b24d86eb0a18bf2604f51fc59db56c07511378a181b09b0c179ae94a8a337b",
+        "f649ab29fa0e281c8b33d5029687a4d3a87df01cee78625d8f2dd7312880566d",
     ),
     "sushi": (
         "663682b24dcb6ea2c886f556a53fdc7bb1c038f0b439bd65f2555aa43d13494b",

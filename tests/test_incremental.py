@@ -74,8 +74,10 @@ class TestKeptEqualsRebuilt:
 
 
 def log_disagreements(max_n):
-    """Estimates w/n (0 < w < n <= max_n, w/n != 1/2) whose d_KL terms take
-    a different last bit from math.log than from numpy's vector log."""
+    """Estimates w/n (0 < w < n <= max_n, w/n != 1/2) where numpy's vector
+    log (on its AVX-512 path, where the host has one) differs from
+    math.log in the last bit: the values a change back to numpy's log
+    would move."""
     ests = np.array([w / n for n in range(2, max_n + 1) for w in range(1, n) if 2 * w != n])
     vec_lo, vec_hi = np.log(2.0 * ests), np.log(2.0 * (1.0 - ests))
     return [
@@ -95,6 +97,10 @@ def fractions(p, max_n):
 
 
 class TestDivergenceBits:
+    """The per-draw path and the rebuild both take libm's log, so the drawn
+    divergences are the rebuilt bits; the estimates are chosen where
+    numpy's AVX-512 log differs from libm's."""
+
     def test_drawn_divergences_are_the_rebuilt_bits(self):
         # on hosts whose math.log and numpy log agree everywhere these
         # estimates are ordinary ones, and the check still holds
